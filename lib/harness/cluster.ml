@@ -286,27 +286,32 @@ module Make (P : R.Protocol_intf.S) = struct
       t.hubs;
     Buffer.contents buf
 
+  (* Live honest logs must carry the same digest wherever two of them hold
+     a seqno: every entry of a log must match each later log's first entry
+     for that seqno. Walking the logs from last to first, [first] maps a
+     seqno to the first digest a later log recorded (every later log
+     agreeing with it, or the walk would have stopped), tagged with the
+     log that recorded it, so a log never checks against its own first
+     entry. Linear in the total log length. *)
   let committed_prefix_agrees t =
-    let logs =
-      Array.to_list t.replicas
-      |> List.filter_map (fun r ->
-             let ctx = P.ctx r in
-             if Ctx.alive ctx && Ctx.behavior ctx = Ctx.Honest then
-               Some (Ctx.executed_digests ctx)
-             else None)
-    in
-    let agree l1 l2 =
-      (* Same digest wherever both logs have an entry for a seqno. *)
+    let first = Hashtbl.create 4096 in
+    let agrees log_ix log =
       List.for_all
         (fun (s, d) ->
-          match List.assoc_opt s l2 with
-          | Some d' -> String.equal d d'
-          | None -> true)
-        l1
+          match Hashtbl.find_opt first s with
+          | Some (d', owner) -> owner = log_ix || String.equal d d'
+          | None ->
+              Hashtbl.add first s (d, log_ix);
+              true)
+        log
     in
-    let rec pairwise = function
-      | [] -> true
-      | l :: rest -> List.for_all (agree l) rest && pairwise rest
+    let rec walk i =
+      i < 0
+      ||
+      let ctx = P.ctx t.replicas.(i) in
+      ((not (Ctx.alive ctx && Ctx.behavior ctx = Ctx.Honest))
+      || agrees i (Ctx.executed_digests ctx))
+      && walk (i - 1)
     in
-    pairwise logs
+    walk (Array.length t.replicas - 1)
 end

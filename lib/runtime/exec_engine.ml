@@ -9,7 +9,7 @@ type t = {
   ready : (int, int * Message.batch * Block.proof) Hashtbl.t;
       (* offered but not yet scheduled: seqno -> (view, batch, proof) *)
   executed : (int, record) Hashtbl.t; (* retained executed batches *)
-  exec_keys : (int, unit) Hashtbl.t; (* request keys retained *)
+  exec_keys : Rid_table.t; (* requests of live executed batches *)
   mutable k_exec : int;       (* last finished *)
   mutable k_sched : int;      (* last submitted to the execute lane *)
   mutable stable : int;
@@ -23,7 +23,7 @@ let create ~ctx ?on_executed ?(respond = true) () =
     respond;
     ready = Hashtbl.create 256;
     executed = Hashtbl.create 1024;
-    exec_keys = Hashtbl.create 4096;
+    exec_keys = Rid_table.create (Replica_ctx.config ctx);
     k_exec = -1;
     k_sched = -1;
     stable = -1;
@@ -46,13 +46,11 @@ let executed_since t seqno =
   in
   collect [] (max (seqno + 1) (t.stable + 1))
 
-let was_executed t req = Hashtbl.mem t.exec_keys (Message.request_key req)
+let was_executed t req = Rid_table.mem t.exec_keys req
 
 let remember t seqno view batch result =
   Hashtbl.replace t.executed seqno { view; batch; result };
-  Array.iter
-    (fun r -> Hashtbl.replace t.exec_keys (Message.request_key r) ())
-    batch.Message.reqs
+  Array.iter (Rid_table.add t.exec_keys) batch.Message.reqs
 
 let send_responses t ~view ~seqno ~(batch : Message.batch) ~result_digest =
   let cfg = Replica_ctx.config t.ctx in
@@ -185,9 +183,7 @@ let rollback_to t ~seqno =
     (fun k (r : record) ->
       if k > seqno then begin
         dropped := k :: !dropped;
-        Array.iter
-          (fun req -> Hashtbl.remove t.exec_keys (Message.request_key req))
-          r.batch.Message.reqs
+        Array.iter (Rid_table.remove t.exec_keys) r.batch.Message.reqs
       end)
     t.executed;
   List.iter (Hashtbl.remove t.executed) !dropped;
@@ -236,7 +232,7 @@ let adopt_snapshot t ~upto ~rows ~blocks =
     Replica_ctx.install_snapshot t.ctx ~upto ~rows ~blocks;
     Hashtbl.reset t.ready;
     Hashtbl.reset t.executed;
-    Hashtbl.reset t.exec_keys;
+    Rid_table.reset t.exec_keys;
     t.k_exec <- upto;
     t.k_sched <- upto;
     t.stable <- max t.stable upto;
@@ -247,9 +243,9 @@ let adopt_snapshot t ~upto ~rows ~blocks =
    request stays deduplicable forever, so a client retransmission that
    straggles in after its batch was garbage-collected (long partition,
    heavy bursty loss) cannot be executed a second time. Keys are only
-   removed on rollback, where re-execution is legitimate. The table grows
-   with the run — an int per request — which a simulation afford gladly
-   for the at-most-once guarantee. *)
+   removed on rollback, where re-execution is legitimate. Kept as a
+   [Rid_table], this costs an interval per client rather than an entry
+   per request. *)
 let gc_below t ~seqno =
   let dropped = ref [] in
   Hashtbl.iter

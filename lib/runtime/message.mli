@@ -73,9 +73,9 @@ type t +=
 
 val request_key : request -> int
 (** (hub, client, rid) packed into one immediate integer — globally unique
-    identity of a request, cheap to hash (hot path: every dedup table in
-    every replica is keyed by it). Assumes hub < 2^14, client < 2^19,
-    rid < 2^30. *)
+    identity of a request, cheap to hash (the protocols' per-request
+    tables and {!Rid_table}'s exceptions are keyed by it). Assumes
+    hub < 2^14, client < 2^19, rid < 2^30. *)
 
 val batch_of_requests : materialize:bool -> request list -> batch
 (** Build a batch; computes the real digest when materializing, or a cheap

@@ -2,7 +2,7 @@ type t = {
   ctx : Replica_ctx.t;
   on_batch : Message.batch -> unit;
   queue : Message.request Queue.t;
-  seen : (int, unit) Hashtbl.t; (* request keys ever enqueued *)
+  seen : Rid_table.t; (* requests ever enqueued *)
   mutable in_flight : int;
   mutable batch_timer : Poe_simnet.Engine.timer option;
 }
@@ -12,7 +12,7 @@ let create ~ctx ~on_batch () =
     ctx;
     on_batch;
     queue = Queue.create ();
-    seen = Hashtbl.create 4096;
+    seen = Rid_table.create (Replica_ctx.config ctx);
     in_flight = 0;
     batch_timer = None;
   }
@@ -20,8 +20,8 @@ let create ~ctx ~on_batch () =
 let in_flight t = t.in_flight
 let queued t = Queue.length t.queue
 
-let already_proposed t req = Hashtbl.mem t.seen (Message.request_key req)
-let mark_proposed t req = Hashtbl.replace t.seen (Message.request_key req) ()
+let already_proposed t req = Rid_table.mem t.seen req
+let mark_proposed t req = Rid_table.add t.seen req
 
 let config t = Replica_ctx.config t.ctx
 
@@ -92,9 +92,8 @@ let rec try_dispatch t =
                end))
 
 let add_request t req =
-  let key = Message.request_key req in
-  if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
+  if not (Rid_table.mem t.seen req) then begin
+    Rid_table.incr t.seen req;
     Queue.push req t.queue;
     try_dispatch t
   end

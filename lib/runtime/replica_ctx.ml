@@ -36,8 +36,9 @@ type t = {
      twice at once — an at-most-once violation. *)
   mutable stable : int;
   mutable snapshot_gen : int;
-  exec_counts : (int, int) Hashtbl.t; (* request key -> live executions *)
-  keys_by_seqno : (int, int array) Hashtbl.t;
+  exec_counts : Rid_table.t; (* request -> live executions *)
+  reqs_by_seqno : (int, Message.request array) Hashtbl.t;
+      (* executed above the stable checkpoint, for rollback *)
   mutable dup_execs : int;
   mutable dedup_skips : int;
 }
@@ -71,8 +72,8 @@ let create ~id ~config ~cost ~engine ~net ~server ~stats ~rng ?threshold () =
     behavior = Honest;
     stable = -1;
     snapshot_gen = 0;
-    exec_counts = Hashtbl.create 4096;
-    keys_by_seqno = Hashtbl.create 1024;
+    exec_counts = Rid_table.create config;
+    reqs_by_seqno = Hashtbl.create 1024;
     dup_execs = 0;
     dedup_skips = 0;
   }
@@ -165,27 +166,20 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
      seqno while the original slot also survives.  The skip is
      deterministic across replicas: execution is in seqno order, so
      replicas with equal prefixes skip equally. *)
-  let keys =
-    Array.map (fun (r : Message.request) -> Message.request_key r) batch.reqs
-  in
-  let live i =
-    match Hashtbl.find_opt t.exec_counts keys.(i) with
-    | Some c -> c >= 1
-    | None -> false
-  in
   let result_digest =
     match (t.store, t.undo) with
     | Some store, Some undo ->
         let results = ref [] in
         let undos = ref [] in
-        Array.iteri
-          (fun i (r : Message.request) ->
+        Array.iter
+          (fun (r : Message.request) ->
             match r.op with
             | None -> ()
-            | Some _ when live i -> t.dedup_skips <- t.dedup_skips + 1
+            | Some _ when Rid_table.mem t.exec_counts r ->
+                t.dedup_skips <- t.dedup_skips + 1
             | Some op ->
                 let result, u = Kv_store.apply store op in
-                results := Format.asprintf "%a" Kv_store.pp_result result :: !results;
+                results := Kv_store.result_to_string result :: !results;
                 undos := u :: !undos)
           batch.reqs;
         Undo_log.record undo ~seqno (List.rev !undos);
@@ -206,30 +200,23 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
      bookkeeping; without one (accounting-only fixtures) the counter
      stays the tripwire it always was. *)
   let applied = t.store <> None && t.undo <> None in
-  Hashtbl.replace t.keys_by_seqno seqno keys;
+  Hashtbl.replace t.reqs_by_seqno seqno batch.reqs;
   Array.iter
-    (fun key ->
-      let count = Option.value (Hashtbl.find_opt t.exec_counts key) ~default:0 in
-      if count >= 1 && not applied then t.dup_execs <- t.dup_execs + 1;
-      Hashtbl.replace t.exec_counts key (count + 1))
-    keys;
+    (fun r ->
+      if (not applied) && Rid_table.mem t.exec_counts r then
+        t.dup_execs <- t.dup_execs + 1;
+      Rid_table.incr t.exec_counts r)
+    batch.reqs;
   result_digest
 
+let seqnos_where t keep =
+  Hashtbl.fold (fun s _ acc -> if keep s then s :: acc else acc) t.reqs_by_seqno []
+
 let forget_exec_keys t ~above =
-  Hashtbl.fold (fun s _ acc -> if s > above then s :: acc else acc)
-    t.keys_by_seqno []
+  seqnos_where t (fun s -> s > above)
   |> List.iter (fun s ->
-         (match Hashtbl.find_opt t.keys_by_seqno s with
-         | Some keys ->
-             Array.iter
-               (fun key ->
-                 match Hashtbl.find_opt t.exec_counts key with
-                 | Some c when c > 1 -> Hashtbl.replace t.exec_counts key (c - 1)
-                 | Some _ -> Hashtbl.remove t.exec_counts key
-                 | None -> ())
-               keys
-         | None -> ());
-         Hashtbl.remove t.keys_by_seqno s)
+         Array.iter (Rid_table.decr t.exec_counts) (Hashtbl.find t.reqs_by_seqno s);
+         Hashtbl.remove t.reqs_by_seqno s)
 
 let rollback_to t ~seqno =
   t.executed <- List.filter (fun (s, _) -> s <= seqno) t.executed;
@@ -251,8 +238,13 @@ let rollback_to t ~seqno =
       | None -> ());
       reverted
 
+(* Rollback never crosses a stable checkpoint (the undo log below it is
+   truncated, and the auditor checks it), so the requests of slots at or
+   below it are never decremented again: drop them. Their counts stay. *)
 let stable_checkpoint t ~seqno =
   t.stable <- max t.stable seqno;
+  List.iter (Hashtbl.remove t.reqs_by_seqno)
+    (seqnos_where t (fun s -> s <= seqno));
   match t.undo with
   | None -> ()
   | Some undo -> Undo_log.truncate undo ~upto:seqno
@@ -278,8 +270,8 @@ let install_snapshot t ~upto ~rows ~blocks =
   (* The transferred checkpoint replaces all bookkeeping: execution history
      below [upto] is no longer locally known, so the dedup tables restart
      (the auditor re-baselines on [snapshot_gen]). *)
-  Hashtbl.reset t.exec_counts;
-  Hashtbl.reset t.keys_by_seqno;
+  Rid_table.reset t.exec_counts;
+  Hashtbl.reset t.reqs_by_seqno;
   t.stable <- max t.stable upto;
   t.snapshot_gen <- t.snapshot_gen + 1;
   (match t.store with

@@ -140,10 +140,12 @@ let pp_op fmt = function
   | Insert (k, v) -> Format.fprintf fmt "insert(%s,%d bytes)" k (String.length v)
   | Delete k -> Format.fprintf fmt "delete(%s)" k
 
-let pp_result fmt = function
-  | Value v -> Format.fprintf fmt "value(%d bytes)" (String.length v)
-  | Missing -> Format.fprintf fmt "missing"
-  | Ok -> Format.fprintf fmt "ok"
+let result_to_string = function
+  | Value v -> "value(" ^ string_of_int (String.length v) ^ " bytes)"
+  | Missing -> "missing"
+  | Ok -> "ok"
+
+let pp_result fmt r = Format.pp_print_string fmt (result_to_string r)
 
 let result_equal a b =
   match (a, b) with

@@ -62,5 +62,9 @@ val decode_op : string -> op option
 val op_key : op -> string
 
 val pp_op : Format.formatter -> op -> unit
+val result_to_string : result -> string
+(** ["value(N bytes)"], ["missing"] or ["ok"]: what a replica's result
+    digest hashes for each applied transaction. *)
+
 val pp_result : Format.formatter -> result -> unit
 val result_equal : result -> result -> bool

@@ -402,6 +402,44 @@ let test_exec_rollback_materialized () =
         (Poe_ledger.Chain.verify chain = Ok ())
   | None -> Alcotest.fail "expected a chain"
 
+(* A rolled-back batch that duplicated a live request: the state machine
+   keeps the first execution (the duplicate was skipped, and is skipped
+   again on re-execution), while [was_executed] forgets the request with
+   the rolled-back batch even though its first execution is still live. *)
+let test_exec_rolled_back_duplicate () =
+  let cfg = Config.make ~n:4 ~batch_size:2 ~materialize:true () in
+  let engine, ctx = make_ctx ~config:(Some cfg) () in
+  let exec = Exec.create ~ctx () in
+  let store = Option.get (Ctx.store ctx) in
+  let user2_before = Poe_store.Kv_store.get store "user2" in
+  let b0 = materialized_batch [ Poe_store.Kv_store.Update ("user1", "AAA") ] 0 in
+  let b1 =
+    materialized_batch
+      Poe_store.Kv_store.[ Update ("user1", "AAA"); Update ("user2", "CCC") ]
+      0
+  in
+  let dup = b0.Message.reqs.(0) and fresh = b1.Message.reqs.(1) in
+  Alcotest.(check bool) "same request" true (dup = b1.Message.reqs.(0));
+  Exec.offer exec ~seqno:0 ~view:0 ~batch:b0 ~proof:Block.No_proof;
+  Exec.offer exec ~seqno:1 ~view:0 ~batch:b1 ~proof:Block.No_proof;
+  Engine.run ~until:1.0 engine;
+  Alcotest.(check int) "duplicate skipped" 1 (Ctx.deduped_requests ctx);
+  Alcotest.(check (option string)) "fresh applied" (Some "CCC")
+    (Poe_store.Kv_store.get store "user2");
+  Alcotest.(check int) "one reverted" 1 (Exec.rollback_to exec ~seqno:0);
+  Alcotest.(check (option string)) "fresh reverted" user2_before
+    (Poe_store.Kv_store.get store "user2");
+  Alcotest.(check bool) "duplicate forgotten with its batch" false
+    (Exec.was_executed exec dup);
+  Alcotest.(check bool) "fresh forgotten" false (Exec.was_executed exec fresh);
+  Exec.force_adopt exec ~seqno:1 ~view:1 ~batch:b1 ~proof:Block.No_proof;
+  Alcotest.(check int) "first execution still live: skipped again" 2
+    (Ctx.deduped_requests ctx);
+  Alcotest.(check bool) "executed again" true (Exec.was_executed exec dup);
+  Alcotest.(check (option string)) "fresh re-applied" (Some "CCC")
+    (Poe_store.Kv_store.get store "user2");
+  Alcotest.(check int) "no violation" 0 (Ctx.duplicate_executions ctx)
+
 let test_exec_force_adopt_gap () =
   let engine, ctx = make_ctx () in
   let exec = Exec.create ~ctx () in
@@ -411,6 +449,100 @@ let test_exec_force_adopt_gap () =
     (fun () ->
       Exec.force_adopt exec ~seqno:5 ~view:0 ~batch:(batch_of 5)
         ~proof:Block.No_proof)
+
+(* ------------------------------------------------------------------ *)
+(* Rid table                                                           *)
+
+module Rid_table = R.Rid_table
+
+type rid_op = Incr | Decr | Add | Remove | Reset
+
+(* The reference: the request-keyed hash table the rid table replaced,
+   with the update rules of the three tables it stands in for. *)
+let model_apply model op key =
+  let c = Option.value (Hashtbl.find_opt model key) ~default:0 in
+  match op with
+  | Incr -> Hashtbl.replace model key (c + 1)
+  | Decr when c > 1 -> Hashtbl.replace model key (c - 1)
+  | Decr | Remove -> Hashtbl.remove model key
+  | Add -> if c = 0 then Hashtbl.replace model key 1
+  | Reset -> Hashtbl.reset model
+
+(* 3 hubs of 3 clients. Hub 3 and clients 3-4 have no slot. Updates come
+   singly (any rid) or as one client's run of consecutive rids, the
+   closed-loop pattern the table is built for. *)
+let rid_steps =
+  let open QCheck.Gen in
+  let req = triple (int_bound 3) (int_bound 4) (int_bound 9) in
+  let single =
+    map2
+      (fun op (hub, client, rid) -> [ (op, hub, client, rid) ])
+      (frequency
+         [ (6, return Incr); (3, return Decr); (2, return Add);
+           (2, return Remove); (1, return Reset) ])
+      req
+  in
+  let run =
+    map2
+      (fun (hub, client, rid) len ->
+        List.init len (fun k -> (Incr, hub, client, rid + k)))
+      req (int_range 1 6)
+  in
+  map List.concat (list_size (int_bound 40) (frequency [ (3, single); (1, run) ]))
+
+let print_rid_steps steps =
+  String.concat "; "
+    (List.map
+       (fun (op, hub, client, rid) ->
+         Printf.sprintf "%s %d.%d.%d"
+           (match op with
+           | Incr -> "incr"
+           | Decr -> "decr"
+           | Add -> "add"
+           | Remove -> "remove"
+           | Reset -> "reset")
+           hub client rid)
+       steps)
+
+let rid_table_qcheck =
+  [
+    QCheck.Test.make ~name:"counts match a hash-table multiset" ~count:500
+      (QCheck.make ~print:print_rid_steps rid_steps) (fun steps ->
+        let table =
+          Rid_table.create (Config.make ~n:4 ~n_hubs:3 ~clients_per_hub:3 ())
+        in
+        let model = Hashtbl.create 16 in
+        let req hub client rid =
+          { Message.hub; client; rid; op = None; submitted = 0.0 }
+        in
+        List.for_all
+          (fun (op, hub, client, rid) ->
+            let r = req hub client rid in
+            (match op with
+            | Incr -> Rid_table.incr table r
+            | Decr -> Rid_table.decr table r
+            | Add -> Rid_table.add table r
+            | Remove -> Rid_table.remove table r
+            | Reset -> Rid_table.reset table);
+            model_apply model op (Message.request_key r);
+            List.for_all
+              (fun hub ->
+                List.for_all
+                  (fun client ->
+                    List.for_all
+                      (fun rid ->
+                        let r = req hub client rid in
+                        let c =
+                          Option.value ~default:0
+                            (Hashtbl.find_opt model (Message.request_key r))
+                        in
+                        Rid_table.count table r = c
+                        && Rid_table.mem table r = (c >= 1))
+                      (List.init 16 Fun.id))
+                  (List.init 5 Fun.id))
+              (List.init 4 Fun.id))
+          steps);
+  ]
 
 let () =
   Alcotest.run "runtime"
@@ -461,5 +593,8 @@ let () =
           Alcotest.test_case "rollback (materialized)" `Quick
             test_exec_rollback_materialized;
           Alcotest.test_case "force_adopt gap" `Quick test_exec_force_adopt_gap;
+          Alcotest.test_case "rolled-back duplicate (materialized)" `Quick
+            test_exec_rolled_back_duplicate;
         ] );
+      ("rid_table", List.map QCheck_alcotest.to_alcotest rid_table_qcheck);
     ]
