@@ -32,10 +32,9 @@ let () =
   (* The primary of view 0 turns byzantine at t=0.8s: it stops proposing
      (Example 3, case 3) — requests pile up, replicas suspect it, and the
      view-change elects replica 1. *)
-  ignore
-    (Poe_simnet.Engine.schedule cluster.PoE.engine ~delay:0.8 (fun () ->
-         Format.printf "t=0.8s: primary stops proposing (byzantine)@.";
-         PoE.set_behavior cluster 0 Ctx.Stop_proposing));
+  Poe_simnet.Engine.schedule cluster.PoE.engine ~delay:0.8 (fun () ->
+      Format.printf "t=0.8s: primary stops proposing (byzantine)@.";
+      PoE.set_behavior cluster 0 Ctx.Stop_proposing);
   PoE.run cluster;
 
   Format.printf "@.after the run:@.";

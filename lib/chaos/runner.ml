@@ -167,12 +167,11 @@ module Make (P : R.Protocol_intf.S) = struct
             else begin
               Network.set_loss net (Gilbert.loss channel);
               let dwell = Gilbert.dwell channel rng in
-              ignore
-                (Engine.schedule engine
-                   ~delay:(Float.min dwell (until -. now))
-                   (fun () ->
-                     Gilbert.flip channel;
-                     step ()))
+              Engine.schedule engine
+                ~delay:(Float.min dwell (until -. now))
+                (fun () ->
+                  Gilbert.flip channel;
+                  step ())
             end
           in
           step ()
@@ -181,12 +180,11 @@ module Make (P : R.Protocol_intf.S) = struct
               [ ("factor", Trace.F factor); ("until", Trace.F until) ]);
           let base = Network.latency_factor net in
           Network.set_latency_factor net (base *. factor);
-          ignore
-            (Engine.schedule engine
-               ~delay:(until -. Engine.now engine)
-               (fun () ->
-                 tr ~engine ~node:0 "chaos_latency_surge_end" no_args;
-                 Network.set_latency_factor net base))
+          Engine.schedule engine
+            ~delay:(until -. Engine.now engine)
+            (fun () ->
+              tr ~engine ~node:0 "chaos_latency_surge_end" no_args;
+              Network.set_latency_factor net base)
       | Schedule.Set_byzantine { replica; byz } ->
           tr ~engine ~node:replica "chaos_set_byzantine" (fun () ->
               [
@@ -198,7 +196,7 @@ module Make (P : R.Protocol_intf.S) = struct
           tr ~engine ~node:r "chaos_restore_honest" no_args;
           C.set_behavior c r Ctx.Honest
     in
-    ignore (Engine.schedule engine ~delay:(at -. Engine.now engine) fire)
+    Engine.schedule engine ~delay:(at -. Engine.now engine) fire
 
   let rec run_gen ~attribute ?(sample_interval = 0.05) ?(horizon = 2.0)
       ?(drain = 1.2) ?stall_window ?heartbeat_interval ?on_heartbeat

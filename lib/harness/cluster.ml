@@ -140,14 +140,13 @@ module Make (P : R.Protocol_intf.S) = struct
                    (Server.backlog srv r))
                resources)
            replicas;
-         ignore (Engine.schedule engine ~delay:interval sample)
+         Engine.schedule engine ~delay:interval sample
        in
-       ignore (Engine.schedule engine ~delay:interval sample)
+       Engine.schedule engine ~delay:interval sample
      end);
-    ignore
-      (Engine.schedule engine ~delay:0.0 (fun () ->
-           Array.iter P.start_replica replicas;
-           if params.autostart_clients then Array.iter Hub.start hubs));
+    Engine.schedule engine ~delay:0.0 (fun () ->
+        Array.iter P.start_replica replicas;
+        if params.autostart_clients then Array.iter Hub.start hubs);
     { params; engine; net; stats; replicas; hubs }
 
   let run ?until t =
@@ -165,10 +164,9 @@ module Make (P : R.Protocol_intf.S) = struct
 
   let crash_replica t id ~at =
     let ctx = P.ctx t.replicas.(id) in
-    ignore
-      (Engine.schedule t.engine
-         ~delay:(at -. Engine.now t.engine)
-         (fun () -> Ctx.kill ctx))
+    Engine.schedule t.engine
+      ~delay:(at -. Engine.now t.engine)
+      (fun () -> Ctx.kill ctx)
 
   let set_behavior t id b = Ctx.set_behavior (P.ctx t.replicas.(id)) b
 
@@ -194,9 +192,9 @@ module Make (P : R.Protocol_intf.S) = struct
     if interval <= 0.0 then invalid_arg "Cluster.every";
     let rec tick () =
       f ();
-      ignore (Engine.schedule t.engine ~delay:interval tick)
+      Engine.schedule t.engine ~delay:interval tick
     in
-    ignore (Engine.schedule t.engine ~delay:interval tick)
+    Engine.schedule t.engine ~delay:interval tick
 
   (* One heartbeat-shaped probe over the whole deployment. Everything
      read here is simulated state, so the sample (and hence the JSONL

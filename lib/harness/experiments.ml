@@ -102,10 +102,9 @@ let run_spec (module P : R.Protocol_intf.S) spec =
   (* Snapshot network counters at the start of the measurement window so
      per-decision traffic excludes warmup. *)
   let msgs0 = ref 0 and bytes0 = ref 0 in
-  ignore
-    (Engine.schedule c.C.engine ~delay:spec.warmup (fun () ->
-         msgs0 := Network.sent_messages c.C.net;
-         bytes0 := Network.sent_bytes c.C.net));
+  Engine.schedule c.C.engine ~delay:spec.warmup (fun () ->
+      msgs0 := Network.sent_messages c.C.net;
+      bytes0 := Network.sent_bytes c.C.net);
   C.run c;
   let decisions = Stats.consensus_throughput c.C.stats *. spec.measure in
   let per_decision v = if decisions > 0.0 then v /. decisions else 0.0 in

@@ -73,6 +73,6 @@ let run ?(cost = Cost.default) ?(clients = 120_000) ?(warmup = 0.5)
             Hub.on_network_message hub ~src msg);
         hub)
   in
-  ignore (Engine.schedule engine ~delay:0.0 (fun () -> Array.iter Hub.start hubs));
+  Engine.schedule engine ~delay:0.0 (fun () -> Array.iter Hub.start hubs);
   Engine.run ~until:(warmup +. measure) engine;
   { throughput = Stats.throughput stats; latency = Stats.avg_latency stats }

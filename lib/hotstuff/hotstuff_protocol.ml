@@ -246,21 +246,20 @@ let rec arm_timer t =
     (cfg t).Config.view_timeout
     *. float_of_int (1 lsl min t.pacemaker_backoff 6)
   in
-  ignore
-    (Ctx.schedule t.ctx ~delay (fun () ->
-         if generation = t.timer_generation && t.round < expected then begin
-           (* The round stalled: ask its leader (or, on repeat, the next
-              one) to take over with our NEW-VIEW. *)
-           if Trace.enabled () then
-             Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
-               ~view:expected "pacemaker_timeout";
-           if Metrics.enabled () then Metrics.cincr "hotstuff.pacemaker_timeouts";
-           t.pacemaker_backoff <- t.pacemaker_backoff + 1;
-           Ctx.send_replica t.ctx ~dst:(leader_of t expected)
-             ~bytes:Message.Wire.vote
-             (Hs_new_view { round = expected });
-           arm_timer t
-         end))
+  Ctx.schedule t.ctx ~delay (fun () ->
+      if generation = t.timer_generation && t.round < expected then begin
+        (* The round stalled: ask its leader (or, on repeat, the next
+           one) to take over with our NEW-VIEW. *)
+        if Trace.enabled () then
+          Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
+            ~view:expected "pacemaker_timeout";
+        if Metrics.enabled () then Metrics.cincr "hotstuff.pacemaker_timeouts";
+        t.pacemaker_backoff <- t.pacemaker_backoff + 1;
+        Ctx.send_replica t.ctx ~dst:(leader_of t expected)
+          ~bytes:Message.Wire.vote
+          (Hs_new_view { round = expected });
+        arm_timer t
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Leading                                                             *)

@@ -105,7 +105,7 @@ let current () = Domain.DLS.get current_key
 
 let set_current t = current () := Some t
 let clear_current () = current () := None
-let enabled () = !(current ()) <> None
+let enabled () = match !(current ()) with Some _ -> true | None -> false
 let current_registry () = !(current ())
 
 let cincr ?by name =

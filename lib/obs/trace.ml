@@ -87,7 +87,7 @@ let current () = Domain.DLS.get current_key
 
 let set t = current () := Some t
 let clear () = current () := None
-let enabled () = !(current ()) <> None
+let enabled () = match !(current ()) with Some _ -> true | None -> false
 let sink () = !(current ())
 
 let instant ?(view = -1) ?(seqno = -1) ?(tid = 0) ?(args = []) ~ts ~node ~cat

@@ -73,7 +73,7 @@ let costs t = Ctx.cost t.ctx
 let nf t = Config.nf (cfg t)
 let fq t = Config.f (cfg t)
 let is_primary t = Ctx.is_primary_of t.ctx t.view
-let active_in t view = t.status = Active && view = t.view
+let active_in t view = not (in_view_change t) && view = t.view
 
 let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
@@ -227,7 +227,7 @@ let on_commit t ~src ~view ~seqno ~digest =
 
 (* Primary: assign the next sequence number and pre-prepare the batch. *)
 let propose_batch t (batch : Message.batch) =
-  if Ctx.alive t.ctx && t.status = Active && is_primary t then begin
+  if Ctx.alive t.ctx && not (in_view_change t) && is_primary t then begin
     let seqno = t.next_seqno in
     t.next_seqno <- seqno + 1;
     let view = t.view in
@@ -267,7 +267,7 @@ let propose_batch t (batch : Message.batch) =
 
 let on_client_request t (req : Message.request) =
   if Exec.was_executed t.exec req then ()
-  else if t.status = Active && is_primary t then
+  else if not (in_view_change t) && is_primary t then
     Pipeline.add_request t.pipeline req
   else Recovery.watch t.recovery req
 
@@ -335,13 +335,11 @@ let rec initiate_view_change t ~from_view =
     Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
     maybe_new_view t ~from_view;
     let this_deadline = t.nv_deadline in
-    ignore
-      (Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-           match t.status with
-           | In_view_change v when v = from_view && t.nv_deadline = this_deadline
-             ->
-               initiate_view_change t ~from_view:(from_view + 1)
-           | In_view_change _ | Active -> ()))
+    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
+        match t.status with
+        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
+            initiate_view_change t ~from_view:(from_view + 1)
+        | In_view_change _ | Active -> ())
   end
 
 and maybe_new_view t ~from_view =
@@ -381,7 +379,7 @@ and on_view_change t ~src ~payload =
   then begin
     let bucket = vc_bucket t payload.from_view in
     Hashtbl.replace bucket src payload;
-    (if t.status = Active && payload.from_view = t.view then
+    (if not (in_view_change t) && payload.from_view = t.view then
        if Hashtbl.length bucket >= fq t + 1 then
          initiate_view_change t ~from_view:t.view);
     match t.status with
@@ -539,7 +537,7 @@ let create_replica ctx =
   t.recovery <-
     Recovery.create ~ctx ~exec:t.exec
       ~primary:(fun () -> Config.primary_of_view (cfg t) t.view)
-      ~active:(fun () -> t.status = Active)
+      ~active:(fun () -> not (in_view_change t))
       ~on_suspect:(fun () -> initiate_view_change t ~from_view:t.view)
       ~on_stable:(fun seqno ->
         Hashtbl.iter
@@ -552,7 +550,7 @@ let create_replica ctx =
 let start_replica t = Recovery.start t.recovery
 
 let force_suspect t =
-  if t.status = Active then initiate_view_change t ~from_view:t.view
+  if not (in_view_change t) then initiate_view_change t ~from_view:t.view
 
 let on_message t ~src msg =
   if Ctx.alive t.ctx && not (Recovery.on_message t.recovery ~src msg) then

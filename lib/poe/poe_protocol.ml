@@ -74,7 +74,7 @@ let is_primary t = Ctx.is_primary_of t.ctx t.view
 
 let primary_of t view = Config.primary_of_view (cfg t) view
 
-let active_in t view = t.status = Active && view = t.view
+let active_in t view = not (in_view_change t) && view = t.view
 
 let slot_key ~view ~seqno = (view lsl 40) lor seqno
 let slot_key_view key = key lsr 40
@@ -352,7 +352,7 @@ let on_certify t ~src ~view ~seqno ~digest ~signature =
 (* The primary's handling of a freshly assigned batch, including the
    byzantine behaviours of Example 3. *)
 let propose_batch t (batch : Message.batch) =
-  if Ctx.alive t.ctx && t.status = Active && is_primary t then begin
+  if Ctx.alive t.ctx && not (in_view_change t) && is_primary t then begin
     let seqno = t.next_seqno in
     t.next_seqno <- seqno + 1;
     let view = t.view in
@@ -409,7 +409,7 @@ let propose_batch t (batch : Message.batch) =
 
 let on_client_request t (req : Message.request) =
   if Exec.was_executed t.exec req then ()
-  else if t.status = Active && is_primary t then
+  else if not (in_view_change t) && is_primary t then
     Pipeline.add_request t.pipeline req
   else Recovery.watch t.recovery req
 
@@ -459,15 +459,12 @@ let rec initiate_view_change t ~from_view =
     Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
     maybe_propose_new_view t ~from_view;
     let this_deadline = t.nv_deadline in
-    ignore
-      (Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-           match t.status with
-           | In_view_change v when v = from_view && t.nv_deadline = this_deadline
-             ->
-               (* No valid NV-PROPOSE in time: suspect the next primary
-                  too. *)
-               initiate_view_change t ~from_view:(from_view + 1)
-           | In_view_change _ | Active -> ()))
+    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
+        match t.status with
+        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
+            (* No valid NV-PROPOSE in time: suspect the next primary too. *)
+            initiate_view_change t ~from_view:(from_view + 1)
+        | In_view_change _ | Active -> ())
   end
 
 and maybe_propose_new_view t ~from_view =
@@ -507,7 +504,7 @@ and on_vc_request t ~src ~(payload : vc_payload) =
     Hashtbl.replace bucket src payload;
     (* Join rule: f+1 distinct view-change requests for the current view
        prove some non-faulty replica detected a failure (Fig. 5 line 8). *)
-    (if t.status = Active && payload.from_view = t.view then
+    (if not (in_view_change t) && payload.from_view = t.view then
        let distinct = Hashtbl.length bucket in
        if distinct >= fq t + 1 then initiate_view_change t ~from_view:t.view);
     (match t.status with
@@ -674,7 +671,7 @@ let create_replica ctx =
   t.recovery <-
     Recovery.create ~ctx ~exec:t.exec
       ~primary:(fun () -> primary_of t t.view)
-      ~active:(fun () -> t.status = Active)
+      ~active:(fun () -> not (in_view_change t))
       ~on_suspect:(fun () -> initiate_view_change t ~from_view:t.view)
       ~on_stable:(fun seqno ->
         Hashtbl.iter
@@ -687,7 +684,7 @@ let create_replica ctx =
 let start_replica t = Recovery.start t.recovery
 
 let force_suspect t =
-  if t.status = Active then initiate_view_change t ~from_view:t.view
+  if not (in_view_change t) then initiate_view_change t ~from_view:t.view
 
 let on_message t ~src msg =
   if Ctx.alive t.ctx && not (Recovery.on_message t.recovery ~src msg) then

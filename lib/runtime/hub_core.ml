@@ -115,9 +115,8 @@ let flush t =
 let ensure_flush t =
   if not t.flush_scheduled then begin
     t.flush_scheduled <- true;
-    ignore
-      (Engine.schedule t.engine ~delay:t.config.Config.client_bundle_delay
-         (fun () -> flush t))
+    Engine.schedule t.engine ~delay:t.config.Config.client_bundle_delay
+      (fun () -> flush t)
   end
 
 let submit_next t client =
@@ -234,9 +233,8 @@ let forward_to_all t rs =
   t.forward_buffer <- rs.req :: t.forward_buffer;
   if not t.forward_scheduled then begin
     t.forward_scheduled <- true;
-    ignore
-      (Engine.schedule t.engine ~delay:t.config.Config.client_bundle_delay
-         (fun () -> flush_forwards t))
+    Engine.schedule t.engine ~delay:t.config.Config.client_bundle_delay
+      (fun () -> flush_forwards t)
   end
 
 let handle_timeout t rs =
@@ -263,20 +261,17 @@ let rec timeout_sweep t =
     t.outstanding;
   List.iter (fun rs -> handle_timeout t rs) !expired;
   if not t.paused then
-    ignore
-      (Engine.schedule t.engine ~delay:(sweep_interval t) (fun () ->
-           timeout_sweep t))
+    Engine.schedule t.engine ~delay:(sweep_interval t) (fun () ->
+        timeout_sweep t)
 
 let start t =
   for client = 0 to t.config.Config.clients_per_hub - 1 do
     (* Stagger initial submissions over a few milliseconds so the first
        batch wave is not one giant synchronized burst. *)
     let jitter = Rng.float t.rng 0.005 in
-    ignore (Engine.schedule t.engine ~delay:jitter (fun () -> submit_next t client))
+    Engine.schedule t.engine ~delay:jitter (fun () -> submit_next t client)
   done;
-  ignore
-    (Engine.schedule t.engine ~delay:(sweep_interval t) (fun () ->
-         timeout_sweep t))
+  Engine.schedule t.engine ~delay:(sweep_interval t) (fun () -> timeout_sweep t)
 
 let handle_response t ~view ~seqno ~replica ~result_digest acks =
   if view > t.believed_view then t.believed_view <- view;

@@ -4,7 +4,10 @@ type t = {
   queue : Message.request Queue.t;
   seen : Rid_table.t; (* requests ever enqueued *)
   mutable in_flight : int;
-  mutable batch_timer : Poe_simnet.Engine.timer option;
+  mutable timer_armed : bool; (* a partial-batch timer is pending *)
+  mutable timer_gen : int;
+      (* bumped to supersede the pending timer: a timer's closure acts
+         only if the generation is still the one it was armed under *)
 }
 
 let create ~ctx ~on_batch () =
@@ -14,7 +17,8 @@ let create ~ctx ~on_batch () =
     queue = Queue.create ();
     seen = Rid_table.create (Replica_ctx.config ctx);
     in_flight = 0;
-    batch_timer = None;
+    timer_armed = false;
+    timer_gen = 0;
   }
 
 let in_flight t = t.in_flight
@@ -62,11 +66,10 @@ let close_batch t =
   end
 
 let cancel_timer t =
-  match t.batch_timer with
-  | Some timer ->
-      Poe_simnet.Engine.cancel timer;
-      t.batch_timer <- None
-  | None -> ()
+  if t.timer_armed then begin
+    t.timer_gen <- t.timer_gen + 1;
+    t.timer_armed <- false
+  end
 
 let rec try_dispatch t =
   let cfg = config t in
@@ -77,19 +80,21 @@ let rec try_dispatch t =
       close_batch t;
       try_dispatch t
     end
-    else if t.batch_timer = None then
+    else if not t.timer_armed then begin
       (* Partial batch: wait batch_delay for more requests before closing. *)
-      t.batch_timer <-
-        Some
-          (Replica_ctx.schedule t.ctx ~delay:cfg.Config.batch_delay (fun () ->
-               t.batch_timer <- None;
-               if t.in_flight < cfg.Config.window
-                  && not (Queue.is_empty t.queue)
-               then begin
-                 t.in_flight <- t.in_flight + 1;
-                 close_batch t;
-                 try_dispatch t
-               end))
+      t.timer_armed <- true;
+      let gen = t.timer_gen in
+      Replica_ctx.schedule t.ctx ~delay:cfg.Config.batch_delay (fun () ->
+          if t.timer_gen = gen then begin
+            t.timer_armed <- false;
+            if t.in_flight < cfg.Config.window && not (Queue.is_empty t.queue)
+            then begin
+              t.in_flight <- t.in_flight + 1;
+              close_batch t;
+              try_dispatch t
+            end
+          end)
+    end
 
 let add_request t req =
   if not (Rid_table.mem t.seen req) then begin

@@ -325,9 +325,7 @@ let rec sweep t =
          the commit rate is below the checkpoint period. *)
       broadcast_vote t ~seqno:(Exec.k_exec t.exec)
   end;
-  ignore
-    (Ctx.schedule t.ctx
-       ~delay:((cfg t).Config.view_timeout /. 2.0)
-       (fun () -> sweep t))
+  Ctx.schedule t.ctx ~delay:((cfg t).Config.view_timeout /. 2.0) (fun () ->
+      sweep t)
 
 let start t = sweep t

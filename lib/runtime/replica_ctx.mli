@@ -102,7 +102,7 @@ val broadcast_to : t -> dsts:int list -> bytes:int -> Message.t -> unit
 
 (** {1 Timers and CPU work} *)
 
-val schedule : t -> delay:float -> (unit -> unit) -> Poe_simnet.Engine.timer
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** The callback is dropped if the replica has been killed meanwhile. *)
 
 val work : t -> Server.resource -> cost:float -> (unit -> unit) -> unit

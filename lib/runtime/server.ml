@@ -80,7 +80,7 @@ let submit t resource ~cost k =
       Metrics.hobs ("server." ^ name ^ ".service") cost
     end
   end;
-  ignore (Engine.schedule t.engine ~delay:(finish -. now) k)
+  Engine.schedule t.engine ~delay:(finish -. now) k
 
 let busy_seconds t resource = (pool t resource).busy
 

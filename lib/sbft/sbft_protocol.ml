@@ -260,18 +260,16 @@ let rec collector_timeout t ~view ~seqno =
     | Some _ | None ->
         (* Not even nf shares: keep waiting (e.g. proposals still in
            flight); re-arm — until a view change retires the view. *)
-        ignore
-          (Ctx.schedule t.ctx ~delay:(cfg t).Config.request_timeout (fun () ->
-               collector_timeout t ~view ~seqno))
+        Ctx.schedule t.ctx ~delay:(cfg t).Config.request_timeout (fun () ->
+            collector_timeout t ~view ~seqno)
   end
 
 let arm_collector_timer t ~view ~seqno =
   let cs = coll_slot_of t ~view ~seqno in
   if not cs.timer_armed then begin
     cs.timer_armed <- true;
-    ignore
-      (Ctx.schedule t.ctx ~delay:(cfg t).Config.request_timeout (fun () ->
-           collector_timeout t ~view ~seqno))
+    Ctx.schedule t.ctx ~delay:(cfg t).Config.request_timeout (fun () ->
+        collector_timeout t ~view ~seqno)
   end
 
 let on_share t ~src ~view ~seqno ~digest =
@@ -659,13 +657,11 @@ let rec initiate_view_change t ~from_view =
     Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
     maybe_new_view t ~from_view;
     let this_deadline = t.nv_deadline in
-    ignore
-      (Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-           match t.status with
-           | In_view_change v when v = from_view && t.nv_deadline = this_deadline
-             ->
-               initiate_view_change t ~from_view:(from_view + 1)
-           | In_view_change _ | Active -> ()))
+    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
+        match t.status with
+        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
+            initiate_view_change t ~from_view:(from_view + 1)
+        | In_view_change _ | Active -> ())
   end
 
 and maybe_new_view t ~from_view =
@@ -961,15 +957,14 @@ let on_client_request t (req : Message.request) =
         Hashtbl.replace t.retries key (Ctx.now t.ctx);
         let cslot = (req.Message.hub lsl 19) lor req.Message.client in
         let vw = t.view in
-        ignore
-          (Ctx.schedule t.ctx
-             ~delay:(2.0 *. (cfg t).Config.view_timeout)
-             (fun () ->
-               Hashtbl.remove t.retries key;
-               if Ctx.alive t.ctx && t.status = Active && t.view = vw then
-                 match Hashtbl.find_opt t.exec_rids cslot with
-                 | Some best when best > req.Message.rid -> ()
-                 | Some _ | None -> initiate_view_change t ~from_view:t.view))
+        Ctx.schedule t.ctx
+          ~delay:(2.0 *. (cfg t).Config.view_timeout)
+          (fun () ->
+            Hashtbl.remove t.retries key;
+            if Ctx.alive t.ctx && t.status = Active && t.view = vw then
+              match Hashtbl.find_opt t.exec_rids cslot with
+              | Some best when best > req.Message.rid -> ()
+              | Some _ | None -> initiate_view_change t ~from_view:t.view)
       end
     end
   end

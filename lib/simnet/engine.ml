@@ -1,15 +1,13 @@
-type timer = { mutable fire : (unit -> unit) option }
-(* [None] once fired or cancelled. *)
-
 type t = {
   mutable clock : float;
-  queue : timer Event_queue.t;
+  queue : (unit -> unit) Event_queue.t;
   root_rng : Rng.t;
   mutable processed : int;
-  mutable step_budget : int option;
-      (* remaining events this engine may still process; [Some 0] freezes
-         the engine (step/run become no-ops) so a hung simulation
-         terminates in bounded host time instead of spinning forever *)
+  mutable step_budget : int;
+      (* remaining events this engine may still process, negative when
+         unbounded; [0] freezes the engine (step/run become no-ops) so a
+         hung simulation terminates in bounded host time instead of
+         spinning forever *)
 }
 
 let create ?(seed = 42) () =
@@ -18,7 +16,7 @@ let create ?(seed = 42) () =
     queue = Event_queue.create ();
     root_rng = Rng.create seed;
     processed = 0;
-    step_budget = None;
+    step_budget = -1;
   }
 
 let now t = t.clock
@@ -27,45 +25,43 @@ let rng t = t.root_rng
 
 let schedule t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
-  let timer = { fire = Some f } in
-  Event_queue.push t.queue ~time:(t.clock +. delay) timer;
-  timer
+  Event_queue.push t.queue ~time:(t.clock +. delay) f
 
-let cancel timer = timer.fire <- None
+let set_step_budget t budget =
+  t.step_budget <- (match budget with Some k -> k | None -> -1)
 
-let is_pending timer = timer.fire <> None
+let budget_exhausted t = t.step_budget = 0
 
-let set_step_budget t budget = t.step_budget <- budget
-
-let budget_exhausted t = t.step_budget = Some 0
+(* Fire the earliest event, whose time the caller has just read: a float
+   returned across a module boundary is boxed, so reading it once and
+   reusing that box as the clock allocates nothing more. *)
+let fire t time =
+  let f = Event_queue.pop_min t.queue in
+  t.clock <- time;
+  t.processed <- t.processed + 1;
+  if t.step_budget > 0 then t.step_budget <- t.step_budget - 1;
+  f ()
 
 let step t =
-  if budget_exhausted t then false
-  else
-    match Event_queue.pop t.queue with
-    | None -> false
-    | Some (time, timer) ->
-        t.clock <- time;
-        t.processed <- t.processed + 1;
-        (match t.step_budget with
-        | Some b -> t.step_budget <- Some (b - 1)
-        | None -> ());
-        (match timer.fire with
-        | None -> ()
-        | Some f ->
-            timer.fire <- None;
-            f ());
-        true
+  if budget_exhausted t || Event_queue.is_empty t.queue then false
+  else begin
+    fire t (Event_queue.min_time t.queue);
+    true
+  end
 
 let run ?until t =
+  let limit = match until with Some limit -> limit | None -> infinity in
   let continue = ref true in
   while !continue do
-    match (Event_queue.peek_time t.queue, until) with
-    | None, _ -> continue := false
-    | Some time, Some limit when time > limit ->
+    if Event_queue.is_empty t.queue then continue := false
+    else
+      let time = Event_queue.min_time t.queue in
+      if time > limit then begin
         t.clock <- limit;
         continue := false
-    | Some _, _ -> if not (step t) then continue := false
+      end
+      else if budget_exhausted t then continue := false
+      else fire t time
   done
 
 let pending_events t = Event_queue.size t.queue

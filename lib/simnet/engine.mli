@@ -5,9 +5,6 @@
 
 type t
 
-type timer
-(** Handle for a scheduled event; may be cancelled. *)
-
 val create : ?seed:int -> unit -> t
 
 val now : t -> float
@@ -16,15 +13,13 @@ val now : t -> float
 val rng : t -> Rng.t
 (** The engine's root random stream (use {!Rng.split} for sub-streams). *)
 
-val schedule : t -> delay:float -> (unit -> unit) -> timer
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** Run a callback [delay] seconds from now. Negative delays are clamped
     to zero (i.e., run "immediately" but still through the queue, after
-    already-pending events at the current instant). *)
-
-val cancel : timer -> unit
-(** Cancelling an already-fired or already-cancelled timer is a no-op. *)
-
-val is_pending : timer -> bool
+    already-pending events at the current instant). An event cannot be
+    cancelled: a callback that may be superseded checks its own state when
+    it fires. The engine drops its reference to the callback once it has
+    run. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in timestamp order until the queue empties or the clock

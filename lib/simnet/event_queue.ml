@@ -1,86 +1,138 @@
 module Prof = Poe_prof.Prof
 
-type 'a entry = { time : float; seq : int; payload : 'a }
+(* Structure of arrays. Heap position [i] holds the key
+   [(times.(i), seqs.(i))] and the slab slot [slots.(i)] of its payload.
+   A payload stays in its slab slot from push to pop, so sifting moves
+   only ints and floats: no write barrier, and no pointer to chase.
+   Positions [len .. cap-1] of [slots] hold the free slot ids, so
+   [slots] is always a permutation of [0 .. cap-1].
 
+   The slab is an [Obj.t array] created with an immediate filler, never
+   with a payload: a [float] payload must not turn it into a flat float
+   array, and a slot emptied at pop must not keep its payload alive. *)
 type 'a t = {
-  mutable heap : 'a entry array;  (* length 0 until the first push *)
+  mutable times : float array;  (* all four arrays are empty until the first push *)
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable slab : Obj.t array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0 }
+let empty = Obj.repr 0
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; slab = [||]; len = 0; next_seq = 0 }
 
-(* The array is grown (and initially created) using a live entry as filler,
-   so no out-of-band dummy value is ever needed. Vacated slots keep their
-   stale entry; they are beyond [len] and never observed. *)
-let ensure_capacity t filler =
-  if t.len = Array.length t.heap then begin
-    let cap = max 64 (2 * Array.length t.heap) in
-    let bigger = Array.make cap filler in
-    Array.blit t.heap 0 bigger 0 t.len;
-    t.heap <- bigger
-  end
+(* 4-ary: half the depth of a binary heap, and the four children of a
+   node sit next to each other in [times]. It beat the binary heap at
+   every depth from 100 to 160k pending events (DESIGN.md). *)
+let arity = 4
+
+let grow t =
+  let cap = Array.length t.times in
+  let cap' = max 64 (2 * cap) in
+  let extend a filler =
+    let b = Array.make cap' filler in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.slab <- extend t.slab empty;
+  (* The queue is full, so slots [0 .. cap-1] are all in use and the new
+     ones are all free. *)
+  t.slots <- Array.init cap' (fun i -> if i < cap then t.slots.(i) else i)
 
 let push t ~time payload =
-  let e = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  ensure_capacity t e;
-  let h = t.heap in
+  if t.len = Array.length t.times then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(t.len) in
+  t.slab.(slot) <- Obj.repr payload;
+  (* Sift the hole up. [seq] is the largest yet, so it loses every tie. *)
   let i = ref t.len in
-  t.len <- t.len + 1;
-  Prof.bump Prof.ix_events_pushed;
-  Prof.bump_max Prof.ix_queue_high_water t.len;
-  h.(!i) <- e;
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if earlier h.(!i) h.(parent) then begin
-      let tmp = h.(parent) in
-      h.(parent) <- h.(!i);
-      h.(!i) <- tmp;
+    let parent = (!i - 1) / arity in
+    if time < times.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot;
+  t.len <- t.len + 1;
+  Prof.bump Prof.ix_events_pushed;
+  Prof.bump_max Prof.ix_queue_high_water t.len
+
+let pop_min t =
+  if t.len = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  Prof.bump Prof.ix_events_popped;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let top = slots.(0) in
+  let payload = t.slab.(top) in
+  t.slab.(top) <- empty;
+  let len = t.len - 1 in
+  t.len <- len;
+  (* Sift the last entry down from the root through a hole. *)
+  let time = times.(len) and seq = seqs.(len) and slot = slots.(len) in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let first = (arity * !i) + 1 in
+    if first >= len then continue := false
+    else begin
+      let best = ref first in
+      let last = min (first + arity - 1) (len - 1) in
+      for c = first + 1 to last do
+        let tc = times.(c) and tb = times.(!best) in
+        if tc < tb || (tc = tb && seqs.(c) < seqs.(!best)) then best := c
+      done;
+      let b = !best in
+      let tb = times.(b) in
+      if tb < time || (tb = time && seqs.(b) < seq) then begin
+        times.(!i) <- tb;
+        seqs.(!i) <- seqs.(b);
+        slots.(!i) <- slots.(b);
+        i := b
+      end
+      else continue := false
+    end
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot;
+  slots.(len) <- top;
+  Obj.obj payload
+
+let min_time t = if t.len = 0 then infinity else t.times.(0)
 
 let pop t =
   if t.len = 0 then None
-  else begin
-    Prof.bump Prof.ix_events_popped;
-    let h = t.heap in
-    let top = h.(0) in
-    t.len <- t.len - 1;
-    h.(0) <- h.(t.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.len && earlier h.(l) h.(!smallest) then smallest := l;
-      if r < t.len && earlier h.(r) h.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = h.(!smallest) in
-        h.(!smallest) <- h.(!i);
-        h.(!i) <- tmp;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    Some (top.time, top.payload)
-  end
+  else
+    let time = t.times.(0) in
+    Some (time, pop_min t)
 
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
+let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
 let size t = t.len
 let is_empty t = t.len = 0
 
-(* Keep the backing array: a cleared queue is about to be refilled (engine
-   reset between rounds), and throwing the array away forces the grow
-   sequence all over again. Resetting [next_seq] also restores the
-   fresh-queue tie-break order, so a reused queue schedules identically to
-   a new one. *)
+(* Keep the arrays: a cleared queue is about to be refilled (engine reset
+   between rounds), and throwing them away forces the grow sequence all
+   over again. The pending payloads are dropped so they can be
+   collected. Resetting [next_seq] also restores the fresh-queue
+   tie-break order, so a reused queue schedules identically to a new
+   one. *)
 let clear t =
+  for i = 0 to t.len - 1 do
+    t.slab.(t.slots.(i)) <- empty
+  done;
   t.len <- 0;
   t.next_seq <- 0

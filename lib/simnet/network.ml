@@ -112,7 +112,10 @@ let send t ~src ~dst ~bytes msg =
   let mid = t.next_mid in
   t.next_mid <- mid + 1;
   let loss = loss_on t ~src ~dst in
-  if t.crashed.(src) || Hashtbl.mem t.blocked (src, dst) then begin
+  if
+    t.crashed.(src)
+    || (Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst))
+  then begin
     t.dropped_messages <- t.dropped_messages + 1;
     trace_drop t ~mid ~src ~dst ~bytes
   end
@@ -151,9 +154,8 @@ let send t ~src ~dst ~bytes msg =
       +. (Latency.sample t.latency t.rng *. t.latency_factor)
       +. extra_delay_on t ~src ~dst
     in
-    ignore
-      (Engine.schedule t.engine ~delay:(arrival -. now) (fun () ->
-           deliver t ~mid ~src ~dst ~bytes msg))
+    Engine.schedule t.engine ~delay:(arrival -. now) (fun () ->
+        deliver t ~mid ~src ~dst ~bytes msg)
   end
 
 let crash t id =

@@ -255,13 +255,11 @@ let rec initiate_view_change t ~from_view =
     Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
     maybe_propose_new_view t ~from_view;
     let this_deadline = t.nv_deadline in
-    ignore
-      (Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-           match t.status with
-           | In_view_change v when v = from_view && t.nv_deadline = this_deadline
-             ->
-               initiate_view_change t ~from_view:(from_view + 1)
-           | In_view_change _ | Active -> ()))
+    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
+        match t.status with
+        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
+            initiate_view_change t ~from_view:(from_view + 1)
+        | In_view_change _ | Active -> ())
   end
 
 and maybe_propose_new_view t ~from_view =

@@ -70,12 +70,10 @@ let test_partitioned_backup_catches_up () =
   let cfg = config () in
   let c = build ~measure:4.0 cfg in
   let n_nodes = cfg.Config.n + cfg.Config.n_hubs in
-  ignore
-    (Engine.schedule c.C.engine ~delay:1.0 (fun () ->
-         isolate c.C.net ~node:2 ~n_nodes));
-  ignore
-    (Engine.schedule c.C.engine ~delay:2.0 (fun () ->
-         Network.heal_partitions c.C.net));
+  Engine.schedule c.C.engine ~delay:1.0 (fun () ->
+      isolate c.C.net ~node:2 ~n_nodes);
+  Engine.schedule c.C.engine ~delay:2.0 (fun () ->
+      Network.heal_partitions c.C.net);
   C.run c;
   Alcotest.(check bool) "safety across partition" true
     (C.committed_prefix_agrees c);
@@ -92,9 +90,8 @@ let test_partitioned_primary_triggers_view_change () =
   let cfg = config () in
   let c = build ~measure:4.0 cfg in
   let n_nodes = cfg.Config.n + cfg.Config.n_hubs in
-  ignore
-    (Engine.schedule c.C.engine ~delay:1.0 (fun () ->
-         isolate c.C.net ~node:0 ~n_nodes));
+  Engine.schedule c.C.engine ~delay:1.0 (fun () ->
+      isolate c.C.net ~node:0 ~n_nodes);
   C.run c;
   Alcotest.(check bool) "safety" true (C.committed_prefix_agrees c);
   (* The isolated primary cannot serve; the rest must move on. *)
@@ -155,12 +152,10 @@ let byzantine_safety (module X : R.Protocol_intf.S) name ?(scheme = Config.Auth_
       CC.build
         { (Cluster.default_params ~config:cfg) with warmup = 0.4; measure = 4.0 }
     in
-    ignore
-      (Engine.schedule c.CC.engine ~delay:1.0 (fun () ->
-           CC.set_behavior c 0 behavior));
-    ignore
-      (Engine.schedule c.CC.engine ~delay:2.2 (fun () ->
-           CC.set_behavior c 0 Ctx.Honest));
+    Engine.schedule c.CC.engine ~delay:1.0 (fun () ->
+        CC.set_behavior c 0 behavior);
+    Engine.schedule c.CC.engine ~delay:2.2 (fun () ->
+        CC.set_behavior c 0 Ctx.Honest);
     CC.run c;
     Alcotest.(check bool) "committed prefixes agree" true
       (CC.committed_prefix_agrees c);

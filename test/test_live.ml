@@ -234,10 +234,9 @@ let test_engine_step_budget () =
     let fired = ref 0 in
     let rec chain i =
       if i < 100 then
-        ignore
-          (Engine.schedule engine ~delay:0.01 (fun () ->
-               incr fired;
-               chain (i + 1)))
+        Engine.schedule engine ~delay:0.01 (fun () ->
+            incr fired;
+            chain (i + 1))
     in
     chain 0;
     Engine.set_step_budget engine budget;

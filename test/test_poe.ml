@@ -178,9 +178,8 @@ let test_view_change_rolls_back_divergent_speculation () =
      change must leave every replica on a consistent prefix (some
      speculative executions beyond kmax are reverted). *)
   let c = build ~measure:2.0 (default_config ()) in
-  ignore
-    (Poe_simnet.Engine.schedule c.C.engine ~delay:0.7 (fun () ->
-         Array.iter P.force_suspect c.C.replicas));
+  Poe_simnet.Engine.schedule c.C.engine ~delay:0.7 (fun () ->
+      Array.iter P.force_suspect c.C.replicas);
   C.run c;
   check_agreement c;
   check_chains_verify c;

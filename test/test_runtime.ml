@@ -288,6 +288,31 @@ let test_pipeline_window () =
   Engine.run ~until:1.0 engine;
   Alcotest.(check int) "two more dispatched" 4 !batches
 
+(* A full batch supersedes the pending partial-batch timer. That timer
+   still fires, but must not close the partial batch started after it:
+   that one waits out its own batch_delay. *)
+let test_pipeline_superseded_timer () =
+  let engine, ctx = make_ctx () in
+  let closed_at = ref [] in
+  let p =
+    Pipeline.create ~ctx
+      ~on_batch:(fun _ -> closed_at := Engine.now engine :: !closed_at)
+      ()
+  in
+  Pipeline.add_request p (mk_req 0);
+  (* Timer armed for 0.01; two more requests fill the batch at once. *)
+  Pipeline.add_request p (mk_req 1);
+  Pipeline.add_request p (mk_req 2);
+  Engine.schedule engine ~delay:0.005 (fun () -> Pipeline.add_request p (mk_req 3));
+  Engine.run ~until:0.014 engine;
+  Alcotest.(check int) "only the full batch by 0.014" 1 (List.length !closed_at);
+  Engine.run ~until:0.1 engine;
+  match !closed_at with
+  | [ partial; _full ] ->
+      Alcotest.(check bool) "partial batch waited its own delay" true
+        (partial >= 0.015)
+  | _ -> Alcotest.fail "expected two batches"
+
 let test_pipeline_drain () =
   let engine, ctx = make_ctx () in
   let p = Pipeline.create ~ctx ~on_batch:(fun _ -> ()) () in
@@ -584,6 +609,8 @@ let () =
           Alcotest.test_case "dedup" `Quick test_pipeline_dedup;
           Alcotest.test_case "window" `Quick test_pipeline_window;
           Alcotest.test_case "drain" `Quick test_pipeline_drain;
+          Alcotest.test_case "superseded batch timer does nothing" `Quick
+            test_pipeline_superseded_timer;
         ] );
       ( "exec_engine",
         [

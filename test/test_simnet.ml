@@ -62,6 +62,43 @@ let test_rng_distributions () =
   let frac = float_of_int !heads /. float_of_int nsamples in
   Alcotest.(check bool) "bernoulli near 0.3" true (frac > 0.28 && frac < 0.32)
 
+(* The splitmix64 stream is part of every payload and trace: these are its
+   first outputs for three seeds, recorded before the generator's state
+   moved into unboxed bytes. Any change here reshuffles every run. *)
+let test_rng_golden () =
+  let golden =
+    [
+      ( 0,
+        [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+          -537132696929009172L ],
+        [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+          0x1.f1177150e499p-1 ],
+        [ 651883; 588925; 886419; 135611 ] );
+      ( 1,
+        [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+          8196980753821780235L ],
+        [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+          0x1.c7061a43b90b2p-2 ],
+        [ 205616; 607129; 722647; 445058 ] );
+      ( 42,
+        [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+          6349198060258255764L ],
+        [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+          0x1.607387fc392b8p-2 ],
+        [ 818853; 723072; 690964; 563941 ] );
+    ]
+  in
+  List.iter
+    (fun (seed, int64s, floats, ints) ->
+      let draws f = let r = Rng.create seed in List.init 4 (fun _ -> f r) in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "int64") int64s (draws Rng.int64);
+      Alcotest.(check (list (float 0.0))) (name "float") floats
+        (draws (fun r -> Rng.float r 1.0));
+      Alcotest.(check (list int)) (name "int") ints
+        (draws (fun r -> Rng.int r 1_000_000)))
+    golden
+
 let test_rng_shuffle () =
   let rng = Rng.create 9 in
   let arr = Array.init 50 (fun i -> i) in
@@ -126,15 +163,125 @@ let test_heap_interleaved () =
   Event_queue.clear q;
   Alcotest.(check bool) "cleared" true (Event_queue.is_empty q)
 
+(* Model test: the heap against a list kept sorted by (time, insertion
+   order), under random pushes, both pops and clears. Times come from a
+   small set, so most of them tie. *)
+type op = Push of float | Pop | Pop_min | Clear
+
+let pp_op = function
+  | Push t -> Printf.sprintf "push %g" t
+  | Pop -> "pop"
+  | Pop_min -> "pop_min"
+  | Clear -> "clear"
+
+let ops_arb ~pushes ~clears ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (pushes, map (fun k -> Push (float_of_int k *. 0.25)) (int_bound 15));
+        (1, return Pop);
+        (1, return Pop_min);
+        (clears, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    (ops op)
+
+let queue_agrees_with_model ops =
+  let q = Event_queue.create () in
+  let model = ref [] (* (time, id), sorted; a new id loses every tie *) in
+  let next_id = ref 0 in
+  let pop_model () =
+    match !model with
+    | [] -> None
+    | x :: rest ->
+        model := rest;
+        Some x
+  in
+  List.for_all
+    (fun op ->
+      let popped_ok =
+        match op with
+        | Push time ->
+            let id = !next_id in
+            incr next_id;
+            Event_queue.push q ~time id;
+            let later, earlier = List.partition (fun (t, _) -> t > time) !model in
+            model := earlier @ ((time, id) :: later);
+            true
+        | Pop -> Event_queue.pop q = pop_model ()
+        | Pop_min -> (
+            match pop_model () with
+            | None -> Event_queue.is_empty q
+            | Some (_, id) -> Event_queue.pop_min q = id)
+        | Clear ->
+            Event_queue.clear q;
+            model := [];
+            true
+      in
+      let earliest = match !model with (t, _) :: _ -> Some t | [] -> None in
+      popped_ok
+      && Event_queue.size q = List.length !model
+      && Event_queue.peek_time q = earliest
+      && Event_queue.min_time q = Option.value earliest ~default:infinity)
+    ops
+
+let queue_model_qcheck =
+  [
+    QCheck.Test.make ~name:"matches a sorted-list model" ~count:300
+      (ops_arb ~pushes:3 ~clears:1 QCheck.Gen.(list_size (int_bound 300)))
+      queue_agrees_with_model;
+    (* Push-heavy runs grow the arrays past 64 and 4096 entries, then
+       refill the grown arrays after a clear. *)
+    QCheck.Test.make ~name:"matches a sorted-list model while growing"
+      ~count:3
+      (ops_arb ~pushes:16 ~clears:0 (fun op ->
+           QCheck.Gen.map
+             (fun ops -> ops @ (Clear :: ops))
+             (QCheck.Gen.list_repeat 6000 op)))
+      queue_agrees_with_model;
+  ]
+
+let test_pop_min_empty () =
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Event_queue.pop_min: empty queue") (fun () ->
+      ignore (Event_queue.pop_min (Event_queue.create ())))
+
+(* A popped (or cleared) payload must not stay reachable from the queue:
+   fired closures keep their messages alive. The payloads are made in a
+   separate function so no stack slot of the test holds them. *)
+let[@inline never] push_tracked q weak i =
+  let payload = Bytes.create 64 in
+  Weak.set weak i (Some payload);
+  Event_queue.push q ~time:(float_of_int i) payload
+
+let test_queue_releases_payloads () =
+  let q = Event_queue.create () in
+  let weak = Weak.create 3 in
+  for i = 0 to 2 do
+    push_tracked q weak i
+  done;
+  ignore (Sys.opaque_identity (Event_queue.pop_min q));
+  ignore (Sys.opaque_identity (Event_queue.pop q));
+  Gc.full_major ();
+  Alcotest.(check bool) "pop_min released" false (Weak.check weak 0);
+  Alcotest.(check bool) "pop released" false (Weak.check weak 1);
+  Alcotest.(check bool) "pending still held" true (Weak.check weak 2);
+  Event_queue.clear q;
+  Gc.full_major ();
+  Alcotest.(check bool) "clear released" false (Weak.check weak 2)
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
 let test_engine_ordering_and_clock () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:0.2 (fun () -> log := (`B, Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:0.1 (fun () -> log := (`A, Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:0.3 (fun () -> log := (`C, Engine.now e) :: !log));
+  Engine.schedule e ~delay:0.2 (fun () -> log := (`B, Engine.now e) :: !log);
+  Engine.schedule e ~delay:0.1 (fun () -> log := (`A, Engine.now e) :: !log);
+  Engine.schedule e ~delay:0.3 (fun () -> log := (`C, Engine.now e) :: !log);
   Engine.run e;
   match List.rev !log with
   | [ (`A, ta); (`B, tb); (`C, tc) ] ->
@@ -143,24 +290,14 @@ let test_engine_ordering_and_clock () =
       Alcotest.(check (float 1e-9)) "tc" 0.3 tc
   | _ -> Alcotest.fail "wrong event order"
 
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let timer = Engine.schedule e ~delay:0.1 (fun () -> fired := true) in
-  Alcotest.(check bool) "pending" true (Engine.is_pending timer);
-  Engine.cancel timer;
-  Alcotest.(check bool) "not pending" false (Engine.is_pending timer);
-  Engine.run e;
-  Alcotest.(check bool) "never fired" false !fired
-
 let test_engine_until () =
   let e = Engine.create () in
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Engine.schedule e ~delay:1.0 tick)
+    Engine.schedule e ~delay:1.0 tick
   in
-  ignore (Engine.schedule e ~delay:1.0 tick);
+  Engine.schedule e ~delay:1.0 tick;
   Engine.run ~until:5.5 e;
   Alcotest.(check int) "5 ticks" 5 !count;
   Alcotest.(check (float 1e-9)) "clock at limit" 5.5 (Engine.now e)
@@ -168,20 +305,55 @@ let test_engine_until () =
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let result = ref 0.0 in
-  ignore
-    (Engine.schedule e ~delay:1.0 (fun () ->
-         ignore (Engine.schedule e ~delay:2.0 (fun () -> result := Engine.now e))));
+  Engine.schedule e ~delay:1.0 (fun () ->
+      Engine.schedule e ~delay:2.0 (fun () -> result := Engine.now e));
   Engine.run e;
   Alcotest.(check (float 1e-9)) "nested at 3.0" 3.0 !result
 
 let test_engine_negative_delay_clamped () =
   let e = Engine.create () in
   let at = ref (-1.0) in
-  ignore
-    (Engine.schedule e ~delay:1.0 (fun () ->
-         ignore (Engine.schedule e ~delay:(-5.0) (fun () -> at := Engine.now e))));
+  Engine.schedule e ~delay:1.0 (fun () ->
+      Engine.schedule e ~delay:(-5.0) (fun () -> at := Engine.now e));
   Engine.run e;
   Alcotest.(check (float 1e-9)) "clamped to now" 1.0 !at
+
+(* Scheduling and firing an event allocates nothing but boxed floats:
+   the fire time handed to [Event_queue.push] and the one [run] reads
+   back, two words each. [tick] is a closed function, so its closure is
+   static, and it reschedules itself with a constant delay. *)
+let alloc_engine = Engine.create ()
+let ticks_left = ref 0
+
+let rec tick () =
+  if !ticks_left > 0 then begin
+    decr ticks_left;
+    Engine.schedule alloc_engine ~delay:1e-3 tick
+  end
+
+let test_engine_event_allocation () =
+  Poe_obs.Trace.clear ();
+  Poe_obs.Metrics.clear_current ();
+  let events ~chains n =
+    ticks_left := n;
+    for _ = 1 to chains do
+      Engine.schedule alloc_engine ~delay:0.0 tick
+    done;
+    Engine.run alloc_engine
+  in
+  (* The first round grows the queue's arrays. *)
+  events ~chains:100 1_000;
+  let fired = Engine.processed_events alloc_engine in
+  let before = Gc.minor_words () in
+  events ~chains:100 100_000;
+  let words =
+    (Gc.minor_words () -. before)
+    /. float_of_int (Engine.processed_events alloc_engine - fired)
+  in
+  (* The slack covers the box [Gc.minor_words] returns. *)
+  if words > 4.001 then
+    Alcotest.failf "%.2f minor words per event, floor is 4 (two boxed floats)"
+      words
 
 (* ------------------------------------------------------------------ *)
 (* Latency                                                             *)
@@ -277,7 +449,7 @@ let test_network_in_flight_survives_crash () =
   let got = ref 0 in
   Network.set_handler net 1 (fun ~src:_ ~bytes:_ _ -> incr got);
   Network.send net ~src:0 ~dst:1 ~bytes:10 "in-flight";
-  ignore (Engine.schedule engine ~delay:0.001 (fun () -> Network.crash net 0));
+  Engine.schedule engine ~delay:0.001 (fun () -> Network.crash net 0);
   Engine.run engine;
   Alcotest.(check int) "delivered" 1 !got
 
@@ -355,23 +527,28 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "distribution sanity" `Slow test_rng_distributions;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle;
+          Alcotest.test_case "golden outputs" `Quick test_rng_golden;
         ]
         @ List.map QCheck_alcotest.to_alcotest rng_qcheck );
       ( "event_queue",
         [
           Alcotest.test_case "ordering with fifo ties" `Quick test_heap_ordering;
           Alcotest.test_case "interleaved push/pop" `Quick test_heap_interleaved;
+          Alcotest.test_case "pop_min on empty" `Quick test_pop_min_empty;
+          Alcotest.test_case "popped payloads are released" `Quick
+            test_queue_releases_payloads;
         ]
-        @ List.map QCheck_alcotest.to_alcotest heap_qcheck );
+        @ List.map QCheck_alcotest.to_alcotest (heap_qcheck @ queue_model_qcheck) );
       ( "engine",
         [
           Alcotest.test_case "ordering and clock" `Quick
             test_engine_ordering_and_clock;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
           Alcotest.test_case "negative delay clamped" `Quick
             test_engine_negative_delay_clamped;
+          Alcotest.test_case "events allocate only boxed floats" `Quick
+            test_engine_event_allocation;
         ] );
       ("latency", [ Alcotest.test_case "models" `Quick test_latency_models ]);
       ( "network",
