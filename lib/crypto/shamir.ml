@@ -28,18 +28,19 @@ let check_indices indices =
   if List.exists (fun i -> i = 0) indices then
     invalid_arg "Shamir: zero share index"
 
+(* λ_i = Π_{j≠i} x_j / (x_j - x_i), computed as the product of the
+   numerators times one inversion of the product of the denominators. *)
 let lagrange_at_zero indices =
   check_indices indices;
   let xs = List.map Gf61.of_int indices in
   List.map
     (fun xi ->
-      List.fold_left
-        (fun acc xj ->
-          if Gf61.equal xi xj then acc
-          else
-            (* λ_i *= x_j / (x_j - x_i), evaluated at 0. *)
-            Gf61.mul acc (Gf61.div xj (Gf61.sub xj xi)))
-        Gf61.one xs)
+      let rec go num den = function
+        | [] -> Gf61.div num den
+        | xj :: rest when Gf61.equal xi xj -> go num den rest
+        | xj :: rest -> go (Gf61.mul num xj) (Gf61.mul den (Gf61.sub xj xi)) rest
+      in
+      go Gf61.one Gf61.one xs)
     xs
 
 let reconstruct shares =

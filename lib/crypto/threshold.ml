@@ -48,11 +48,14 @@ let sign_share signer msg =
 
 let share_index s = s.share_index
 
-let verify_share scheme ~msg share =
+(* [h] is [hash_to_field msg]. *)
+let share_valid scheme h share =
   share.share_index >= 0
   && share.share_index < scheme.n
-  && Gf61.equal share.value
-       (Gf61.mul scheme.key_shares.(share.share_index) (hash_to_field msg))
+  && Gf61.equal share.value (Gf61.mul scheme.key_shares.(share.share_index) h)
+
+let verify_share scheme ~msg share =
+  share_valid scheme (hash_to_field msg) share
 
 let combine scheme ~msg shares =
   let distinct =
@@ -64,7 +67,8 @@ let combine scheme ~msg shares =
     Error
       (Printf.sprintf "need %d shares, got %d" scheme.threshold
          (List.length shares))
-  else if not (List.for_all (verify_share scheme ~msg) shares) then
+  else if not (List.for_all (share_valid scheme (hash_to_field msg)) shares)
+  then
     Error "invalid share in set"
   else begin
     (* Shamir indices are 1-based; signer i holds the share at point i+1. *)

@@ -21,10 +21,10 @@ let encode_proof = function
       "cert:" ^ String.concat "," (List.map string_of_int ids)
 
 let encode b =
-  Printf.sprintf "h=%d|k=%d|v=%d|d=%s|p=%s|proof=%s" b.height b.seqno b.view
-    (Sha256.to_hex b.batch_digest)
-    (Sha256.to_hex b.prev_hash)
-    (encode_proof b.proof)
+  String.concat ""
+    [ "h="; string_of_int b.height; "|k="; string_of_int b.seqno;
+      "|v="; string_of_int b.view; "|d="; Sha256.to_hex b.batch_digest;
+      "|p="; Sha256.to_hex b.prev_hash; "|proof="; encode_proof b.proof ]
 
 let hash b = Sha256.digest (encode b)
 

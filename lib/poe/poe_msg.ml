@@ -26,7 +26,7 @@ type Message.t +=
   | Nv_request of { view : int }
 
 let support_digest ~view ~seqno ~batch_digest =
-  Printf.sprintf "%d|%d|" seqno view ^ batch_digest
+  String.concat "" [ string_of_int seqno; "|"; string_of_int view; "|"; batch_digest ]
 
 let entries_consecutive entries =
   let rec go = function

@@ -32,12 +32,12 @@ let remove_row t key value =
 
 let load_ycsb t ~records ~payload_bytes =
   let payload i =
-    let base = Printf.sprintf "v%d|" i in
+    let base = "v" ^ string_of_int i ^ "|" in
     if String.length base >= payload_bytes then base
     else base ^ String.make (payload_bytes - String.length base) 'x'
   in
   for i = 0 to records - 1 do
-    add_row t (Printf.sprintf "user%d" i) (payload i)
+    add_row t ("user" ^ string_of_int i) (payload i)
   done
 
 let size t = Hashtbl.length t.table
@@ -92,12 +92,12 @@ let digest_hint t = Hashtbl.length t.table lxor t.content_hash
 
 (* Encoding: 1-char opcode, then length-prefixed fields. *)
 let encode_op op =
-  let field s = Printf.sprintf "%d:%s" (String.length s) s in
+  let len s = string_of_int (String.length s) in
   match op with
-  | Read k -> "R" ^ field k
-  | Update (k, v) -> "U" ^ field k ^ field v
-  | Insert (k, v) -> "I" ^ field k ^ field v
-  | Delete k -> "D" ^ field k
+  | Read k -> String.concat "" [ "R"; len k; ":"; k ]
+  | Update (k, v) -> String.concat "" [ "U"; len k; ":"; k; len v; ":"; v ]
+  | Insert (k, v) -> String.concat "" [ "I"; len k; ":"; k; len v; ":"; v ]
+  | Delete k -> String.concat "" [ "D"; len k; ":"; k ]
 
 let parse_field s pos =
   match String.index_from_opt s pos ':' with

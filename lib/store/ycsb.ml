@@ -27,10 +27,10 @@ let profile t = t.profile
 
 let generate t rng =
   let rank = Zipf.next t.zipf rng in
-  let key = Printf.sprintf "user%d" rank in
+  let key = "user" ^ string_of_int rank in
   if Rng.bool rng ~p:t.profile.write_proportion then begin
     t.nonce <- t.nonce + 1;
-    let base = Printf.sprintf "w%d|" t.nonce in
+    let base = "w" ^ string_of_int t.nonce ^ "|" in
     let value =
       if String.length base >= t.profile.value_bytes then base
       else base ^ String.make (t.profile.value_bytes - String.length base) 'y'

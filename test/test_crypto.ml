@@ -190,6 +190,12 @@ let mk_rng seed =
   let rng = Poe_simnet.Rng.create seed in
   fun () -> Gf61.of_int (abs (Int64.to_int (Poe_simnet.Rng.int64 rng)))
 
+(* [0 .. n-1] in an order fixed by [seed]. *)
+let shuffled n seed =
+  let st = Random.State.make [| seed |] in
+  List.init n (fun i -> (Random.State.bits st, i))
+  |> List.sort compare |> List.map snd
+
 let shamir_qcheck =
   [
     QCheck.Test.make ~name:"any threshold-sized subset reconstructs" ~count:100
@@ -209,6 +215,27 @@ let shamir_qcheck =
           |> List.filteri (fun i _ -> i < threshold)
         in
         Gf61.equal (Shamir.reconstruct subset) secret);
+    QCheck.Test.make ~name:"lagrange_at_zero matches the pairwise product"
+      ~count:200
+      QCheck.(pair (int_range 1 16) int)
+      (fun (k, seed) ->
+        (* Distinct non-zero points drawn from 1..64. *)
+        let indices =
+          List.filteri (fun i _ -> i < k) (shuffled 64 seed)
+          |> List.map (fun i -> i + 1)
+        in
+        let pairwise =
+          let xs = List.map Gf61.of_int indices in
+          List.map
+            (fun xi ->
+              List.fold_left
+                (fun acc xj ->
+                  if Gf61.equal xi xj then acc
+                  else Gf61.mul acc (Gf61.div xj (Gf61.sub xj xi)))
+                Gf61.one xs)
+            xs
+        in
+        List.equal Gf61.equal (Shamir.lagrange_at_zero indices) pairwise);
   ]
 
 let test_shamir_basic () =
@@ -328,6 +355,32 @@ let threshold_qcheck =
         match Threshold.combine scheme ~msg subset with
         | Ok sigma -> Threshold.verify scheme ~msg sigma
         | Error _ -> false);
+    QCheck.Test.make ~name:"random t-of-n share sets combine to master*H(m)"
+      ~count:200
+      QCheck.(quad (int_range 1 12) (pair small_nat small_nat) int small_string)
+      (fun (n, (t_raw, k_raw), seed, msg) ->
+        let threshold = 1 + (t_raw mod n) in
+        let k = threshold + (k_raw mod (n - threshold + 1)) in
+        let scheme, signers = Threshold.setup ~n ~threshold ~seed:"r" in
+        let picked = List.filteri (fun i _ -> i < k) (shuffled n seed) in
+        let shares = List.map (fun i -> Threshold.sign_share signers.(i) msg) picked in
+        (* [verify] is the check sigma = master * H(m). *)
+        match Threshold.combine scheme ~msg shares with
+        | Ok sigma -> Threshold.verify scheme ~msg sigma
+        | Error _ -> false);
+    QCheck.Test.make ~name:"one bad share anywhere fails combine" ~count:200
+      QCheck.(quad (int_range 2 12) small_nat int small_string)
+      (fun (n, bad_raw, seed, msg) ->
+        let scheme, signers = Threshold.setup ~n ~threshold:n ~seed:"r" in
+        let bad = bad_raw mod n in
+        let shares =
+          List.map
+            (fun i ->
+              if i = bad then Threshold.forge_share ~index:i msg
+              else Threshold.sign_share signers.(i) msg)
+            (shuffled n seed)
+        in
+        Result.is_error (Threshold.combine scheme ~msg shares));
   ]
 
 (* ------------------------------------------------------------------ *)
