@@ -14,17 +14,13 @@ type t = {
   proof : proof;
 }
 
-let encode_proof = function
-  | No_proof -> "none"
-  | Threshold_sig s -> "ts:" ^ Sha256.to_hex s
-  | Vote_certificate ids ->
-      "cert:" ^ String.concat "," (List.map string_of_int ids)
-
+(* The proof is a replica-local witness and is deliberately not encoded:
+   see block.mli. *)
 let encode b =
   String.concat ""
     [ "h="; string_of_int b.height; "|k="; string_of_int b.seqno;
       "|v="; string_of_int b.view; "|d="; Sha256.to_hex b.batch_digest;
-      "|p="; Sha256.to_hex b.prev_hash; "|proof="; encode_proof b.proof ]
+      "|p="; Sha256.to_hex b.prev_hash ]
 
 let hash b = Sha256.digest (encode b)
 

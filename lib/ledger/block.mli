@@ -2,9 +2,10 @@
 
     A block [B_i = {k, d, v, H(B_{i-1})}] records the sequence number, the
     digest of the executed batch, the view, and the hash of the previous
-    block. Instead of (or in addition to) hashing, a block may carry the
-    *proof of acceptance* — in PoE, the threshold signature from the
-    CERTIFY message — which the paper suggests as the cheaper alternative. *)
+    block. A block may also carry the *proof of acceptance* — in PoE, the
+    threshold signature from the CERTIFY message — which the paper makes
+    optional. The proof is kept as a witness but is not part of the hashed
+    block (see {!hash}). *)
 
 type proof =
   | No_proof
@@ -29,12 +30,19 @@ val genesis : initial_primary:int -> t
     (§III-A). *)
 
 val hash : t -> string
-(** SHA-256 over the canonical serialization of the block. *)
+(** SHA-256 over the canonical serialization of the block: height, seqno,
+    view, batch digest and previous hash — exactly the paper's block, and
+    not the proof. Proofs are local to a replica: a slot adopted by state
+    transfer or a new view carries [Vote_certificate []] where its peers
+    hold a threshold signature, and a MAC certificate lists whichever
+    supporters arrived first. Hashing them would give honest replicas that
+    executed the same batches different hashes, so checkpoint votes, which
+    carry the block hash, would never match. *)
 
 val make :
   prev:t -> seqno:int -> view:int -> batch_digest:string -> proof:proof -> t
 
 val encode : t -> string
-(** Canonical serialization (what {!hash} hashes). *)
+(** Canonical serialization (what {!hash} hashes); excludes the proof. *)
 
 val pp : Format.formatter -> t -> unit

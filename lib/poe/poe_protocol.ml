@@ -62,6 +62,7 @@ let in_view_change t =
   match t.status with Active -> false | In_view_change _ -> true
 
 let stable_seqno t = Exec.stable t.exec
+let retained_batches t = Exec.retained t.exec
 
 let cfg t = Ctx.config t.ctx
 let costs t = Ctx.cost t.ctx

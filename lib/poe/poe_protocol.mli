@@ -30,6 +30,7 @@ val view_of : replica -> int
 val k_exec : replica -> int
 val in_view_change : replica -> bool
 val stable_seqno : replica -> int
+val retained_batches : replica -> int
 
 val force_suspect : replica -> unit
 (** Make this replica suspect the current primary immediately (as if its

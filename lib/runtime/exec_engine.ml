@@ -253,5 +253,7 @@ let gc_below t ~seqno =
     t.executed;
   List.iter (Hashtbl.remove t.executed) !dropped
 
+let retained t = Hashtbl.length t.executed
+
 let stable t = t.stable
 let set_stable t s = t.stable <- max t.stable s

@@ -84,6 +84,9 @@ val adopt_snapshot :
 val gc_below : t -> seqno:int -> unit
 (** Drop retained batches at or below [seqno] (after a stable checkpoint). *)
 
+val retained : t -> int
+(** Executed batches still retained (not yet garbage-collected). *)
+
 val stable : t -> int
 (** Last stable checkpoint seqno ([-1] initially). *)
 

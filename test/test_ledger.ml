@@ -1,5 +1,5 @@
 (* Tests for the blockchain ledger: genesis rules, hash chaining, tamper
-   detection, rollback, and proof embedding. *)
+   detection, rollback, and proofs kept out of the hash. *)
 
 module Block = Poe_ledger.Block
 module Chain = Poe_ledger.Chain
@@ -109,7 +109,11 @@ let test_chain_find_by_seqno () =
   | None -> Alcotest.fail "seqno 12 not found");
   Alcotest.(check bool) "absent seqno" true (Chain.find_by_seqno chain 99 = None)
 
-let test_proofs_affect_hash () =
+(* The paper's block is {k, d, v, H(B_{i-1})}: the proof of acceptance is
+   a replica-local witness and must not change the hash, or honest
+   replicas holding the same batches under different proofs would hash
+   their blocks differently. *)
+let test_proofs_do_not_affect_hash () =
   let prev = Block.genesis ~initial_primary:0 in
   let base ~proof =
     Block.make ~prev ~seqno:0 ~view:0 ~batch_digest:(digest_of "b") ~proof
@@ -117,10 +121,43 @@ let test_proofs_affect_hash () =
   let h1 = Block.hash (base ~proof:Block.No_proof) in
   let h2 = Block.hash (base ~proof:(Block.Threshold_sig "sig")) in
   let h3 = Block.hash (base ~proof:(Block.Vote_certificate [ 1; 2; 3 ])) in
-  Alcotest.(check bool) "ts proof changes hash" false (String.equal h1 h2);
-  Alcotest.(check bool) "cert proof changes hash" false (String.equal h1 h3);
-  Alcotest.(check bool) "distinct proofs distinct hashes" false
-    (String.equal h2 h3)
+  let h4 = Block.hash (base ~proof:(Block.Vote_certificate [])) in
+  Alcotest.(check string) "ts proof" h1 h2;
+  Alcotest.(check string) "cert proof" h1 h3;
+  Alcotest.(check string) "empty cert" h1 h4;
+  (* Everything the paper's block holds still changes the hash. *)
+  let differs name b =
+    Alcotest.(check bool) name false (String.equal h1 (Block.hash b))
+  in
+  let b = base ~proof:Block.No_proof in
+  differs "seqno" { b with Block.seqno = 1 };
+  differs "view" { b with Block.view = 1 };
+  differs "height" { b with Block.height = 2 };
+  differs "digest" { b with Block.batch_digest = digest_of "c" };
+  differs "prev hash" { b with Block.prev_hash = digest_of "p" }
+
+(* Two replicas that execute the same batches but certify them with
+   different proofs (a threshold signature on one, an adopted slot's empty
+   certificate or another quorum of supporters on the other) end with the
+   same head hash, and both chains verify. *)
+let test_same_batches_different_proofs () =
+  let a = Chain.create ~initial_primary:0 and b = Chain.create ~initial_primary:0 in
+  for k = 0 to 19 do
+    let batch_digest = digest_of (Printf.sprintf "batch%d" k) in
+    let view = k / 8 in
+    ignore
+      (Chain.append a ~seqno:k ~view ~batch_digest
+         ~proof:(Block.Threshold_sig (digest_of (string_of_int k))));
+    ignore
+      (Chain.append b ~seqno:k ~view ~batch_digest
+         ~proof:
+           (if k mod 3 = 0 then Block.Vote_certificate []
+            else Block.Vote_certificate [ k mod 4; (k + 1) mod 4; (k + 2) mod 4 ]))
+  done;
+  Alcotest.(check string) "equal heads" (Block.hash (Chain.head a))
+    (Block.hash (Chain.head b));
+  Alcotest.(check bool) "a verifies" true (Chain.verify a = Ok ());
+  Alcotest.(check bool) "b verifies" true (Chain.verify b = Ok ())
 
 let chain_qcheck =
   [
@@ -154,7 +191,8 @@ let () =
       ( "block",
         [
           Alcotest.test_case "genesis" `Quick test_genesis;
-          Alcotest.test_case "proofs affect hash" `Quick test_proofs_affect_hash;
+          Alcotest.test_case "proofs do not affect hash" `Quick
+            test_proofs_do_not_affect_hash;
         ] );
       ( "chain",
         [
@@ -163,6 +201,8 @@ let () =
           Alcotest.test_case "tamper detection" `Quick test_chain_tamper_detection;
           Alcotest.test_case "rollback" `Quick test_chain_rollback;
           Alcotest.test_case "find by seqno" `Quick test_chain_find_by_seqno;
+          Alcotest.test_case "same batches, different proofs" `Quick
+            test_same_batches_different_proofs;
         ]
         @ List.map QCheck_alcotest.to_alcotest chain_qcheck );
     ]

@@ -203,6 +203,42 @@ let test_checkpoint_gc () =
         (P.stable_seqno r <= P.k_exec r))
     c.C.replicas
 
+(* Checkpoints keep certifying after a failover. With 64 clients, slots
+   are in flight when the primary crashes; a replica that adopts them
+   from the new view's proposal or by state transfer holds an empty vote
+   certificate where its peers hold the threshold signature. The checkpoint vote (a block hash)
+   must not depend on the proof, or the stable checkpoint freezes at the
+   crash and retained batches grow without bound. *)
+let test_checkpoint_gc_after_failover () =
+  let config = default_config ~scheme:Config.Auth_threshold ~clients:64 () in
+  let period = config.Config.checkpoint_period in
+  let c = build ~measure:2.0 config in
+  let crash_at = 0.8 in
+  let at_crash = ref (-1) in
+  Poe_simnet.Engine.schedule c.C.engine ~delay:crash_at (fun () ->
+      at_crash := Array.fold_left (fun acc r -> max acc (P.k_exec r)) (-1)
+          c.C.replicas);
+  C.crash_replica c 0 ~at:crash_at;
+  C.run c;
+  check_agreement c;
+  check_chains_verify c;
+  Alcotest.(check bool) "executed before the crash" true (!at_crash > 0);
+  Array.iteri
+    (fun i r ->
+      if i > 0 then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "replica %d: stable %d >= %d" i (P.stable_seqno r)
+             (!at_crash + (2 * period)))
+          true
+          (P.stable_seqno r >= !at_crash + (2 * period));
+        Alcotest.(check bool)
+          (Printf.sprintf "replica %d: %d retained batches <= %d" i
+             (P.retained_batches r) (4 * period))
+          true
+          (P.retained_batches r <= 4 * period)
+      end)
+    c.C.replicas
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 
@@ -252,6 +288,11 @@ let () =
           Alcotest.test_case "divergent speculation rolled back" `Quick
             test_view_change_rolls_back_divergent_speculation;
         ] );
-      ("checkpoints", [ Alcotest.test_case "gc bounded" `Quick test_checkpoint_gc ]);
+      ( "checkpoints",
+        [
+          Alcotest.test_case "gc bounded" `Quick test_checkpoint_gc;
+          Alcotest.test_case "gc bounded after TS failover" `Quick
+            test_checkpoint_gc_after_failover;
+        ] );
       ("determinism", [ Alcotest.test_case "replayable" `Quick test_deterministic_runs ]);
     ]
