@@ -50,6 +50,9 @@ type Message.t +=
       (** new primary → all: nf history certificates; install new view *)
   | Z_nv_request of { view : int }
       (** straggler → peer: please retransmit the NV that installed view *)
+  | Z_pom of { view : int }
+      (** client → all: proof of misbehavior — two replicas answered the
+          same slot of [view] with different results *)
 
 type status = Active | In_view_change of int (* from_view *)
 
@@ -549,6 +552,18 @@ let on_commit_cert t ~seqno ~digest ~acks ~hub =
       (Local_commit { seqno; digest; acks; replica = Ctx.id t.ctx })
   end
 
+(* Zyzzyva's proof of misbehavior: replicas that executed the same history
+   answer a slot identically, so two different results for one slot of
+   [view] mean that view's speculative histories split — an equivocating
+   primary sent different order-reqs, or a replica kept a suffix the last
+   view change should have replaced. No quorum of matching responses or
+   checkpoint votes can form across the split, and only a view change
+   reconciles it, so start one at once instead of after the clients'
+   retry backoff. *)
+let on_pom t ~view =
+  if t.status = Active && view = t.view then
+    initiate_view_change t ~from_view:view
+
 let on_client_request t (req : Message.request) =
   if Exec.was_executed t.exec req then begin
     (* Executed here, yet the client still retries: with an equivocating
@@ -631,6 +646,7 @@ let on_message t ~src msg =
     | Z_vc_request { payload } -> on_vc_request t ~src ~payload
     | Z_nv_propose { new_view; vcs } -> on_nv_propose t ~src ~new_view ~vcs
     | Z_nv_request { view } -> on_nv_request t ~src ~view
+    | Z_pom { view } -> on_pom t ~view
     | _ -> ()
 
 let receive_cost ~src config cost msg =
@@ -648,10 +664,23 @@ let receive_cost ~src config cost msg =
              throughput under a single failure (§IV-D). *)
           base
           +. (float_of_int ((2 * Config.f config) + 1) *. cost.Cost.ds_verify)
-      | Z_vc_request _ | Z_nv_propose _ | Z_nv_request _ ->
-          (* History certificates are forwarded, hence signed. *)
+      | Z_vc_request _ | Z_nv_propose _ | Z_nv_request _ | Z_pom _ ->
+          (* History certificates are forwarded, hence signed; a proof of
+             misbehavior carries the signed responses. *)
           base +. cost.Cost.ds_verify
       | _ -> base)
+
+(* The view of a slot for which two replicas reported different results. *)
+let conflicting_view (rs : Hub.request_state) =
+  List.find_map
+    (fun (_, (view, seqno, digest)) ->
+      if
+        List.exists
+          (fun (_, (v, s, d)) -> v = view && s = seqno && not (String.equal d digest))
+          rs.Hub.responses
+      then Some view
+      else None)
+    rs.Hub.responses
 
 let hub_hooks config =
   let nf = Config.nf config in
@@ -674,8 +703,13 @@ let hub_hooks config =
           (Commit_cert
              { seqno; digest; acks = [ key ]; hub = Hub.hub_index hub })
     | Some _ | None ->
-        (* Not enough matching responses yet: re-forward so stragglers (or
-           a future view) eventually serve us. *)
+        (* Not enough matching responses yet: report a split (see
+           [on_pom]) and re-forward so stragglers (or a future view)
+           eventually serve us. *)
+        (match conflicting_view rs with
+        | Some view ->
+            Hub.broadcast_replicas hub ~bytes:Message.Wire.vote (Z_pom { view })
+        | None -> ());
         Hub.forward_to_all hub rs
   in
   let on_message hub ~src msg =

@@ -83,6 +83,63 @@ let sweep (module P : R.Protocol_intf.S) seeds =
   in
   Alcotest.test_case (P.name ^ " chaos sweep") `Slow test
 
+(* Zyzzyva schedules that ended with honest replicas split on a slot. In
+   seed 110867 replica 2 equivocates as the primary of view 2, so replicas
+   1 and 3 speculatively execute a forged batch at seqno 434 while 0 and 2
+   execute the real one; in seed 190057 a partition, a crash and a loss
+   burst leave the same kind of split at seqno 147. Neither side can
+   gather a quorum of matching responses or checkpoint votes, and the
+   clients' retry backoff delayed suspicion past the end of the run. The
+   clients' proof of misbehavior (two results for one slot) now starts
+   the view change that reconciles the split. The schedules are pinned so
+   a generator change cannot quietly retire the regression. *)
+let zyzzyva_split_schedules =
+  [
+    ( 110867,
+      "t=0.2053  latency-surge x4.40 until=0.5320\n\
+       t=0.2056  block link 0->2\n\
+       t=0.2179  crash replica 0\n\
+       t=0.5362  loss-burst bad=0.192 dwell=0.0730/0.0479 until=0.7649 \
+       seed=372216712\n\
+       t=0.5807  unblock link 0->2\n\
+       t=0.7119  block link 2->3\n\
+       t=0.7965  recover replica 0\n\
+       t=1.0734  set replica 2 byzantine equivocate\n\
+       t=1.1227  unblock link 2->3\n\
+       t=1.7507  restore replica 2 honest" );
+    ( 190057,
+      "t=0.2560  partition {0}\n\
+       t=0.5215  latency-surge x4.36 until=0.9852\n\
+       t=0.6610  block link 1->2\n\
+       t=0.9284  heal\n\
+       t=0.9302  loss-burst bad=0.362 dwell=0.0957/0.0399 until=1.5112 \
+       seed=205192075\n\
+       t=0.9510  crash replica 2\n\
+       t=0.9831  block link 1->3\n\
+       t=1.1101  unblock link 1->2\n\
+       t=1.3932  recover replica 2\n\
+       t=1.4851  unblock link 1->3" );
+  ]
+
+let test_zyzzyva_split_reconciled () =
+  let module Ch = Runner.Make (Poe_zyzzyva.Zyzzyva_protocol) in
+  List.iter
+    (fun (seed, schedule) ->
+      let o = Ch.run_seed ~seed () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d schedule" seed)
+        schedule
+        (String.trim (Schedule.to_string o.Ch.schedule));
+      (match o.Ch.violation with
+      | None -> ()
+      | Some v ->
+          Alcotest.failf "seed %d: %s" seed
+            (Format.asprintf "%a" Auditor.pp_violation v));
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d verdict" seed)
+        "clean" (Ch.verdict o))
+    zyzzyva_split_schedules
+
 let test_replay_determinism () =
   let module Ch = Runner.Make (Poe_core.Poe_protocol) in
   let once () = Ch.run_seed ~seed:7922 ~horizon:1.0 ~drain:0.6 () in
@@ -543,6 +600,8 @@ let () =
           sweep (module Poe_sbft.Sbft_protocol) [ 41; 42 ];
           sweep (module Poe_hotstuff.Hotstuff_protocol) [ 51; 52 ];
           Alcotest.test_case "replay determinism" `Slow test_replay_determinism;
+          Alcotest.test_case "zyzzyva split slots reconciled" `Quick
+            test_zyzzyva_split_reconciled;
         ] );
       ( "broken-protocol",
         [
