@@ -67,9 +67,10 @@ let combine scheme ~msg shares =
     Error
       (Printf.sprintf "need %d shares, got %d" scheme.threshold
          (List.length shares))
-  else if not (List.for_all (share_valid scheme (hash_to_field msg)) shares)
-  then
-    Error "invalid share in set"
+  else if
+    let h = hash_to_field msg in
+    not (List.for_all (share_valid scheme h) shares)
+  then Error "invalid share in set"
   else begin
     (* Shamir indices are 1-based; signer i holds the share at point i+1. *)
     let points = List.map (fun s -> s.share_index + 1) shares in

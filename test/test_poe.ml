@@ -206,9 +206,10 @@ let test_checkpoint_gc () =
 (* Checkpoints keep certifying after a failover. With 64 clients, slots
    are in flight when the primary crashes; a replica that adopts them
    from the new view's proposal or by state transfer holds an empty vote
-   certificate where its peers hold the threshold signature. The checkpoint vote (a block hash)
-   must not depend on the proof, or the stable checkpoint freezes at the
-   crash and retained batches grow without bound. *)
+   certificate where its peers hold the threshold signature. The
+   checkpoint vote (a block hash) must not depend on the proof, or the
+   stable checkpoint freezes at the crash and retained batches grow
+   without bound. *)
 let test_checkpoint_gc_after_failover () =
   let config = default_config ~scheme:Config.Auth_threshold ~clients:64 () in
   let period = config.Config.checkpoint_period in
