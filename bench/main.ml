@@ -1,15 +1,10 @@
-(* The benchmark harness, in two parts:
-
-   1. Bechamel micro-benchmarks of the primitives our simulator's cost
-      model abstracts (hashing, MACs, threshold-signature operations, KV
-      execution) — real wall-clock numbers on this machine.
-
-   2. Regeneration of every table and figure in the paper's evaluation
-      (§IV): Fig. 1 (message census), Fig. 7 (upper bound), Fig. 8
-      (signature schemes), Fig. 9(a-l) (scalability / payload / batching /
-      out-of-order), Fig. 10 (view-change timeline) and Fig. 11 (message-
-      delay simulation). Expected-vs-measured commentary lives in
-      EXPERIMENTS.md.
+(* The benchmark harness: regeneration of every table and figure in the
+   paper's evaluation (§IV): Fig. 1 (message census), Fig. 7 (upper
+   bound), Fig. 8 (signature schemes), Fig. 9(a-l) (scalability / payload
+   / batching / out-of-order), Fig. 10 (view-change timeline) and Fig. 11
+   (message-delay simulation). Expected-vs-measured commentary lives in
+   EXPERIMENTS.md. Per-primitive costs (hashing, threshold signatures, KV
+   execution, ...) are measured by bench/e2e/micro.ml.
 
    Every figure section also lands as a machine-readable BENCH_<fig>.json
    next to the text output, and a traced mini-run per protocol produces
@@ -20,7 +15,6 @@
      BENCH_SCALE      - multiplies the simulated measurement window (default 1)
      BENCH_QUICK      - if set, restricts replica counts and batch sweeps so
                         the whole run finishes in a couple of minutes
-     BENCH_SKIP_MICRO - if set, skip the Bechamel section
      BENCH_JSON_DIR   - directory for the BENCH_*.json files (default ".")
      POE_JOBS         - worker domains for the experiment grids (default
                         min 4 (cores - 1); 1 = sequential). Each grid point
@@ -29,11 +23,6 @@
                         byte-identical across job counts. *)
 
 module E = Poe_harness.Experiments
-module Sha256 = Poe_crypto.Sha256
-module Hmac = Poe_crypto.Hmac
-module Gf61 = Poe_crypto.Gf61
-module Threshold = Poe_crypto.Threshold
-module Kv = Poe_store.Kv_store
 
 let scale =
   match Sys.getenv_opt "BENCH_SCALE" with
@@ -51,63 +40,6 @@ let ns = if quick then [ 4; 16; 32 ] else [ 4; 16; 32; 64; 91 ]
 let batch_sizes = if quick then [ 10; 100; 400 ] else [ 10; 50; 100; 200; 400 ]
 let fig11_ns = if quick then [ 4; 16 ] else [ 4; 16; 128 ]
 let jobs = Poe_parallel.Pool.default_jobs ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: micro-benchmarks                                            *)
-
-let microbenchmarks () =
-  let open Bechamel in
-  let msg256 = String.make 256 'x' in
-  let msg5400 = String.make 5400 'x' in
-  let scheme, signers = Threshold.setup ~n:16 ~threshold:11 ~seed:"bench" in
-  let shares =
-    Array.to_list signers
-    |> List.filteri (fun i _ -> i < 11)
-    |> List.map (fun s -> Threshold.sign_share s "bench-msg")
-  in
-  let store = Kv.create () in
-  Kv.load_ycsb store ~records:10_000 ~payload_bytes:32;
-  let tests =
-    [
-      Test.make ~name:"sha256-256B" (Staged.stage (fun () -> Sha256.digest msg256));
-      Test.make ~name:"sha256-5400B-one-PROPOSE"
-        (Staged.stage (fun () -> Sha256.digest msg5400));
-      Test.make ~name:"hmac-sha256-vote"
-        (Staged.stage (fun () -> Hmac.mac ~key:"0123456789abcdef" msg256));
-      Test.make ~name:"gf61-mul"
-        (Staged.stage (fun () ->
-             Gf61.mul (Gf61.of_int 123456789123) (Gf61.of_int 987654321987)));
-      Test.make ~name:"threshold-sign-share"
-        (Staged.stage (fun () -> Threshold.sign_share signers.(0) "bench-msg"));
-      Test.make ~name:"threshold-combine-11"
-        (Staged.stage (fun () -> Threshold.combine scheme ~msg:"bench-msg" shares));
-      Test.make ~name:"kv-update-one-YCSB-txn"
-        (Staged.stage (fun () -> Kv.apply store (Kv.Update ("user42", "value!"))));
-    ]
-  in
-  Printf.printf "== micro-benchmarks (wall clock on this machine) ==\n%!";
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ())
-          [ Toolkit.Instance.monotonic_clock ]
-          test
-      in
-      let stats =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns/op\n%!" name est
-          | Some _ | None -> Printf.printf "%-32s (no estimate)\n%!" name)
-        stats)
-    tests;
-  Printf.printf "\n%!"
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output: BENCH_<fig>.json per series                *)
@@ -385,7 +317,6 @@ let () =
   if watch then
     Poe_parallel.Pool.set_job_notifier
       (Some (Poe_live.Progress.notifier ~label:"bench grid" ()));
-  if Sys.getenv_opt "BENCH_SKIP_MICRO" = None then microbenchmarks ();
   phase_breakdowns ();
   fig1 ();
   fig7 ();

@@ -8,11 +8,10 @@ module Pipeline = R.Pipeline
 module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
+module V = R.View_change
 module Block = Poe_ledger.Block
 
 let name = "pbft"
-
-module Metrics = Poe_obs.Metrics
 
 type vc_payload = {
   from_view : int;
@@ -28,8 +27,6 @@ type Message.t +=
   | Preprepare of { view : int; seqno : int; batch : Message.batch }
   | Prepare of { view : int; seqno : int; digest : string }
   | Commit of { view : int; seqno : int; digest : string }
-  | View_change of { payload : vc_payload }
-  | New_view of { new_view : int; vcs : (int * vc_payload) list }
 
 type slot = {
   mutable batch : Message.batch option;
@@ -42,8 +39,6 @@ type slot = {
   mutable offered : bool;
 }
 
-type status = Active | In_view_change of int
-
 type replica = {
   ctx : Ctx.t;
   mutable exec : Exec.t;
@@ -51,34 +46,25 @@ type replica = {
   mutable recovery : Recovery.t;
   slots : (int, slot) Hashtbl.t;
       (* keyed by (view, seqno) packed into one int: view lsl 40 lor seqno *)
-  vc_store : (int, (int, vc_payload) Hashtbl.t) Hashtbl.t;
-  mutable view : int;
-  mutable status : status;
+  vc : vc_payload V.t;
   mutable next_seqno : int;
-  mutable vc_round : int;
-  mutable nv_deadline : float;
-  mutable nv_sent_for : int;
 }
 
 let ctx t = t.ctx
-let current_view t = t.view
+let current_view t = t.vc.view
 let view_of = current_view
 let k_exec t = Exec.k_exec t.exec
 
-let in_view_change t =
-  match t.status with Active -> false | In_view_change _ -> true
+let in_view_change t = V.in_view_change t.vc
 
 let cfg t = Ctx.config t.ctx
 let costs t = Ctx.cost t.ctx
 let nf t = Config.nf (cfg t)
-let fq t = Config.f (cfg t)
-let is_primary t = Ctx.is_primary_of t.ctx t.view
-let active_in t view = not (in_view_change t) && view = t.view
+let is_primary t = Ctx.is_primary_of t.ctx t.vc.view
+let active_in t view = V.active_in t.vc view
 
 let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
-
-let tr_instant t what = Ctx.trace_instant t.ctx ~cat:name ~view:t.view what
 
 let slot_digest ~view ~seqno ~batch_digest =
   Printf.sprintf "%d|%d|" seqno view ^ batch_digest
@@ -187,7 +173,7 @@ let activate_slot t ~view ~seqno slot =
   | (Some _ | None), _ -> ()
 
 let activate_pending_slots t =
-  let view = t.view in
+  let view = t.vc.view in
   Hashtbl.iter
     (fun key slot ->
       if slot_key_view key = view then
@@ -196,7 +182,7 @@ let activate_pending_slots t =
 
 let on_preprepare t ~src ~view ~seqno (batch : Message.batch) =
   if
-    view >= t.view
+    view >= t.vc.view
     && src = Config.primary_of_view (cfg t) view
     && not (Ctx.is_primary_of t.ctx view)
   then begin
@@ -208,7 +194,7 @@ let on_preprepare t ~src ~view ~seqno (batch : Message.batch) =
   end
 
 let on_prepare t ~src ~view ~seqno ~digest =
-  if view >= t.view then begin
+  if view >= t.vc.view then begin
     let slot = slot_of t ~view ~seqno in
     if not (Hashtbl.mem slot.prepares src) then begin
       Hashtbl.replace slot.prepares src digest;
@@ -217,7 +203,7 @@ let on_prepare t ~src ~view ~seqno ~digest =
   end
 
 let on_commit t ~src ~view ~seqno ~digest =
-  if view >= t.view then begin
+  if view >= t.vc.view then begin
     let slot = slot_of t ~view ~seqno in
     if not (Hashtbl.mem slot.commits src) then begin
       Hashtbl.replace slot.commits src digest;
@@ -230,7 +216,7 @@ let propose_batch t (batch : Message.batch) =
   if Ctx.alive t.ctx && not (in_view_change t) && is_primary t then begin
     let seqno = t.next_seqno in
     t.next_seqno <- seqno + 1;
-    let view = t.view in
+    let view = t.vc.view in
     (match Ctx.behavior t.ctx with
     | Ctx.Honest ->
         Ctx.broadcast_replicas t.ctx
@@ -274,14 +260,6 @@ let on_client_request t (req : Message.request) =
 (* ------------------------------------------------------------------ *)
 (* View change                                                         *)
 
-let vc_bucket t from_view =
-  match Hashtbl.find_opt t.vc_store from_view with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.vc_store from_view h;
-      h
-
 (* Prepared-but-unexecuted slots of the current view, for the VIEW-CHANGE
    message's P sets. *)
 let prepared_entries t =
@@ -305,128 +283,20 @@ let my_vc_payload t ~from_view =
   { from_view; exec_upto = Exec.k_exec t.exec; executed;
     prepared = prepared_entries t }
 
-let entries_consecutive entries =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | (a : Message.exec_entry) :: (b :: _ as rest) ->
-        b.Message.e_seqno = a.Message.e_seqno + 1 && go rest
-  in
-  go entries
-
-let nv_deadline_for t =
-  (cfg t).Config.view_timeout *. float_of_int (1 lsl min t.vc_round 6)
-
-let rec initiate_view_change t ~from_view =
-  let already =
-    match t.status with In_view_change v -> v >= from_view | Active -> false
-  in
-  if (not already) && from_view >= t.view then begin
-    tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "pbft.view_changes";
-    t.status <- In_view_change from_view;
-    t.nv_deadline <- Ctx.now t.ctx +. nv_deadline_for t;
-    t.vc_round <- t.vc_round + 1;
-    let payload = my_vc_payload t ~from_view in
-    let bytes =
-      Message.Wire.view_change (cfg t)
-        ~entries:(List.length payload.executed + List.length payload.prepared)
-    in
-    Ctx.broadcast_replicas t.ctx ~bytes (View_change { payload });
-    Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
-    maybe_new_view t ~from_view;
-    let this_deadline = t.nv_deadline in
-    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-        match t.status with
-        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
-            initiate_view_change t ~from_view:(from_view + 1)
-        | In_view_change _ | Active -> ())
-  end
-
-and maybe_new_view t ~from_view =
-  let new_view = from_view + 1 in
-  if
-    Config.primary_of_view (cfg t) new_view = Ctx.id t.ctx
-    && t.nv_sent_for < new_view
-  then begin
-    let bucket = vc_bucket t from_view in
-    let valid =
-      Hashtbl.fold
-        (fun src p acc ->
-          if entries_consecutive p.executed then (src, p) :: acc else acc)
-        bucket []
-    in
-    if List.length valid >= nf t then begin
-      t.nv_sent_for <- new_view;
-      let vcs =
-        List.sort (fun (a, _) (b, _) -> compare a b) valid
-        |> List.filteri (fun i _ -> i < nf t)
-      in
-      let total =
-        List.fold_left
-          (fun acc (_, p) ->
-            acc + List.length p.executed + List.length p.prepared)
-          0 vcs
-      in
-      Ctx.broadcast_replicas t.ctx
-        ~bytes:(Message.Wire.view_change (cfg t) ~entries:total)
-        (New_view { new_view; vcs });
-      enter_new_view t ~new_view ~vcs
-    end
-  end
-
-and on_view_change t ~src ~payload =
-  if payload.from_view >= t.view - 1 && entries_consecutive payload.executed
-  then begin
-    let bucket = vc_bucket t payload.from_view in
-    Hashtbl.replace bucket src payload;
-    (if not (in_view_change t) && payload.from_view = t.view then
-       if Hashtbl.length bucket >= fq t + 1 then
-         initiate_view_change t ~from_view:t.view);
-    match t.status with
-    | In_view_change v when v = payload.from_view -> maybe_new_view t ~from_view:v
-    | In_view_change _ | Active -> ()
-  end
-
-and enter_new_view t ~new_view ~vcs =
+let adopt t ~new_view vcs =
   (* PBFT execution is non-speculative, so adoption only ever fast-forwards
      (no rollback): adopt the longest executed prefix, then re-run
      consensus in the new view for every prepared-but-unexecuted slot. *)
-  let best =
-    List.fold_left
-      (fun acc (_, p) ->
-        match acc with
-        | Some b when b.exec_upto >= p.exec_upto -> acc
-        | _ -> Some p)
-      None vcs
-  in
+  let best = V.longest ~by:(fun (p : vc_payload) -> p.exec_upto) vcs in
   let kmax = match best with Some p -> p.exec_upto | None -> -1 in
-  (match best with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun (e : Message.exec_entry) ->
-          if e.e_seqno = Exec.k_exec t.exec + 1 then
-            Exec.force_adopt t.exec ~seqno:e.e_seqno ~view:e.e_view
-              ~batch:e.e_batch ~proof:(Block.Vote_certificate []))
-        p.executed);
+  V.adopt_in_order t.exec (match best with Some p -> p.executed | None -> []);
   (* Highest-view prepared entry per seqno above kmax must be re-proposed
      (Castro-Liskov's O computation). *)
-  let reproposals = Hashtbl.create 16 in
-  List.iter
-    (fun ((_, p) : int * vc_payload) ->
-      List.iter
-        (fun (e : Message.exec_entry) ->
-          if e.e_seqno > kmax then
-            match Hashtbl.find_opt reproposals e.e_seqno with
-            | Some (prev : Message.exec_entry) when prev.e_view >= e.e_view -> ()
-            | Some _ | None -> Hashtbl.replace reproposals e.e_seqno e)
-        p.prepared)
-    vcs;
-  t.view <- new_view;
-  t.status <- Active;
-  t.vc_round <- 0;
-  tr_instant t "new_view";
-  if Metrics.enabled () then Metrics.cincr "pbft.new_views";
+  let reproposals =
+    V.highest_view ~above:kmax
+      (List.map (fun ((_, p) : int * vc_payload) -> p.prepared) vcs)
+  in
+  V.install t.vc ~new_view vcs;
   let max_reproposed =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax
   in
@@ -435,68 +305,34 @@ and enter_new_view t ~new_view ~vcs =
     (fun key _ -> if slot_key_view key < new_view then Hashtbl.remove t.slots key)
     (Hashtbl.copy t.slots);
   (* The new primary re-proposes the prepared slots at their original
-     sequence numbers (with a fresh watermark window: slots opened in the
-     dead view will never close). *)
-  if is_primary t then begin
-    Pipeline.reset_window t.pipeline;
-    (* Gaps between kmax and the highest prepared slot get null batches
-       (the "null request" of the O computation): a slot no payload
-       prepared can never close otherwise, and execution would park behind
-       it forever. *)
-    let entries =
-      List.init (max_reproposed - kmax) (fun i ->
-          let seqno = kmax + 1 + i in
-          match Hashtbl.find_opt reproposals seqno with
-          | Some e -> e
-          | None ->
-              {
-                Message.e_seqno = seqno;
-                e_view = new_view;
-                e_batch =
-                  {
-                    Message.digest = Printf.sprintf "pbft-null-%d" seqno;
-                    reqs = [||];
-                  };
-              })
-    in
-    List.iter
-      (fun (e : Message.exec_entry) ->
-        Ctx.broadcast_replicas t.ctx
-          ~bytes:(Message.Wire.propose (cfg t))
-          (Preprepare { view = new_view; seqno = e.e_seqno; batch = e.e_batch });
-        let slot = slot_of t ~view:new_view ~seqno:e.e_seqno in
-        accept_preprepare t ~view:new_view ~seqno:e.e_seqno slot e.e_batch)
-      entries;
-    (* Requests in a re-proposed prepared batch are already on their way
-       back through consensus, but [Exec.was_executed] stays false for
-       them until the slot re-commits: mark them proposed in the pipeline
-       so neither the watched backlog below nor a client retransmission
-       arriving during that window gets them proposed a second time at a
-       fresh seqno — both slots would commit, executing the requests
-       twice. *)
-    Hashtbl.iter
-      (fun _ (e : Message.exec_entry) ->
-        Array.iter (Pipeline.mark_proposed t.pipeline) e.e_batch.Message.reqs)
-      reproposals;
-    List.iter
-      (fun req ->
-        if not (Exec.was_executed t.exec req) then
-          Pipeline.add_request t.pipeline req)
-      (Recovery.watched_requests t.recovery)
-  end
-  else Recovery.refresh_watches t.recovery;
+     sequence numbers. Gaps between kmax and the highest prepared slot get
+     null batches (the "null request" of the O computation): a slot no
+     payload prepared can never close otherwise, and execution would park
+     behind it forever. *)
+  V.resume_backlog ~primary:(is_primary t) ~exec:t.exec ~pipeline:t.pipeline
+    ~recovery:t.recovery (fun () ->
+      V.repropose ~name ~new_view ~kmax ~upto:max_reproposed reproposals
+        t.pipeline ~propose:(fun (e : Message.exec_entry) ->
+          Ctx.broadcast_replicas t.ctx
+            ~bytes:(Message.Wire.propose (cfg t))
+            (Preprepare
+               { view = new_view; seqno = e.e_seqno; batch = e.e_batch });
+          let slot = slot_of t ~view:new_view ~seqno:e.e_seqno in
+          accept_preprepare t ~view:new_view ~seqno:e.e_seqno slot e.e_batch));
   activate_pending_slots t
 
-and on_new_view t ~src ~new_view ~vcs =
-  if
-    new_view > t.view
-    && src = Config.primary_of_view (cfg t) new_view
-    && List.length vcs >= nf t
-    && List.for_all (fun (_, p) -> entries_consecutive p.executed) vcs
-    &&
-    let srcs = List.map fst vcs in
-    List.length (List.sort_uniq compare srcs) = List.length srcs
-  then enter_new_view t ~new_view ~vcs
+module Vc = V.Make (struct
+  type nonrec replica = replica
+  type cert = vc_payload
+
+  let state t = t.vc
+  let from_view (p : vc_payload) = p.from_view
+  let size (p : vc_payload) = List.length p.executed + List.length p.prepared
+  let valid (p : vc_payload) = V.entries_consecutive p.executed
+  let summarize = my_vc_payload
+  let halt _ ~from_view:_ = ()
+  let adopt = adopt
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
@@ -519,13 +355,8 @@ let create_replica ctx =
           ~on_suspect:(fun () -> ())
           ();
       slots = Hashtbl.create 1024;
-      vc_store = Hashtbl.create 4;
-      view = 0;
-      status = Active;
+      vc = V.create ctx ~name;
       next_seqno = 0;
-      vc_round = 0;
-      nv_deadline = 0.0;
-      nv_sent_for = 0;
     }
   in
   t.exec <-
@@ -536,9 +367,9 @@ let create_replica ctx =
     Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
   t.recovery <-
     Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> Config.primary_of_view (cfg t) t.view)
+      ~primary:(fun () -> Config.primary_of_view (cfg t) t.vc.view)
       ~active:(fun () -> not (in_view_change t))
-      ~on_suspect:(fun () -> initiate_view_change t ~from_view:t.view)
+      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ~on_stable:(fun seqno ->
         Hashtbl.iter
           (fun key _ ->
@@ -549,8 +380,7 @@ let create_replica ctx =
 
 let start_replica t = Recovery.start t.recovery
 
-let force_suspect t =
-  if not (in_view_change t) then initiate_view_change t ~from_view:t.view
+let force_suspect = Vc.force_suspect
 
 let on_message t ~src msg =
   if Ctx.alive t.ctx && not (Recovery.on_message t.recovery ~src msg) then
@@ -561,9 +391,7 @@ let on_message t ~src msg =
     | Preprepare { view; seqno; batch } -> on_preprepare t ~src ~view ~seqno batch
     | Prepare { view; seqno; digest } -> on_prepare t ~src ~view ~seqno ~digest
     | Commit { view; seqno; digest } -> on_commit t ~src ~view ~seqno ~digest
-    | View_change { payload } -> on_view_change t ~src ~payload
-    | New_view { new_view; vcs } -> on_new_view t ~src ~new_view ~vcs
-    | _ -> ()
+    | msg -> Vc.on_message t ~src msg
 
 let receive_cost ~src config cost msg =
   match R.Protocol_intf.client_receive_cost ~src config cost msg with
@@ -573,7 +401,7 @@ let receive_cost ~src config cost msg =
       match msg with
       | Preprepare _ | Prepare _ | Commit _ ->
           base +. Cost.auth_verify cost config.Config.replica_scheme
-      | View_change _ | New_view _ -> base +. cost.Cost.ds_verify
+      | Vc.Vc_request _ | Vc.Nv_propose _ -> base +. cost.Cost.ds_verify
       | _ -> base)
 
 let hub_hooks config =

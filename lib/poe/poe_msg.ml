@@ -21,19 +21,6 @@ type Message.t +=
       digest : string;
       signature : string option;
     }
-  | Vc_request of { payload : vc_payload }
-  | Nv_propose of { new_view : int; vcs : (int * vc_payload) list }
-  | Nv_request of { view : int }
 
 let support_digest ~view ~seqno ~batch_digest =
   String.concat "" [ string_of_int seqno; "|"; string_of_int view; "|"; batch_digest ]
-
-let entries_consecutive entries =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | (a : Message.exec_entry) :: (b :: _ as rest) ->
-        b.Message.e_seqno = a.Message.e_seqno + 1 && go rest
-  in
-  go entries
-
-let vc_entry_bytes = Message.Wire.per_txn + 64

@@ -1,6 +1,8 @@
-(** PoE wire messages (Fig. 3 and Fig. 5 of the paper), as extensions of the
-    runtime's {!Poe_runtime.Message.t}. Checkpoint and state-transfer
-    messages are the shared runtime ones. *)
+(** PoE wire messages (Fig. 3 of the paper), as extensions of the
+    runtime's {!Poe_runtime.Message.t}, and the view-change summary of
+    Fig. 5. The VC-REQUEST and NV-PROPOSE messages that carry it come from
+    {!Poe_runtime.View_change.Make}; checkpoint and state-transfer messages
+    are the shared runtime ones. *)
 
 module Message = Poe_runtime.Message
 
@@ -33,19 +35,6 @@ type Message.t +=
       signature : string option;  (** serialized combined TS when real *)
     }
       (** primary → all: CERTIFY(⟨h⟩, v, k) *)
-  | Vc_request of { payload : vc_payload }
-  | Nv_propose of { new_view : int; vcs : (int * vc_payload) list }
-      (** new primary → all: NV-PROPOSE carrying nf VC-REQUESTs (replica id,
-          payload) *)
-  | Nv_request of { view : int }
-      (** a replica that sees traffic for a view it never entered asks the
-          sender to retransmit that view's NV-PROPOSE (lost on the wire) *)
 
 val support_digest : view:int -> seqno:int -> batch_digest:string -> string
 (** h := D(k || v || ⟨T⟩c) — the value signed by SUPPORT shares. *)
-
-val entries_consecutive : Message.exec_entry list -> bool
-(** VC-REQUEST validity: the summary must be a consecutive seqno run. *)
-
-val vc_entry_bytes : int
-(** Wire-size contribution of one summary entry. *)

@@ -8,6 +8,7 @@ module Pipeline = R.Pipeline
 module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
+module V = R.View_change
 module Block = Poe_ledger.Block
 
 let name = "sbft"
@@ -40,10 +41,6 @@ type Message.t +=
   | S_final_proof of { view : int; seqno : int; digest : string }
   | S_exec_share of { seqno : int; result : string } (* replica -> executor *)
   | S_exec_proof of { seqno : int; result : string } (* executor -> all *)
-  | S_view_change of { payload : vc_payload }
-  | S_new_view of { new_view : int; vcs : (int * vc_payload) list }
-  | S_nv_request of { view : int }
-      (* straggler -> peer: please retransmit the NEW-VIEW for [view] *)
 
 (* Collector-side per-slot state. *)
 type coll_slot = {
@@ -66,8 +63,6 @@ type slot = {
   mutable pending_proof : pending_proof option;
       (* proof that raced ahead of the NEW-VIEW activating its view *)
 }
-
-type status = Active | In_view_change of int (* from_view *)
 
 type replica = {
   ctx : Ctx.t;
@@ -101,20 +96,13 @@ type replica = {
          finished — the one failure the quorum path cannot see — and we
          rotate the view (and with it the executor role) *)
   mutable next_seqno : int;
-  mutable view : int;
-  mutable status : status;
-  vc_store : (int, (int, vc_payload) Hashtbl.t) Hashtbl.t;
-      (* from_view -> sender -> payload *)
-  mutable vc_round : int;
-  mutable nv_deadline : float;
-  mutable nv_sent_for : int;
-  mutable last_nv : (int * (int * vc_payload) list) option;
+  vc : vc_payload V.t;
   mutable vc_phase_slot : int;
       (* slot carrying the open "view_change" phase span *)
 }
 
 let ctx t = t.ctx
-let current_view t = t.view
+let current_view t = t.vc.view
 let view_of = current_view
 let k_exec t = Exec.k_exec t.exec
 let cfg t = Ctx.config t.ctx
@@ -130,13 +118,11 @@ let primary_of t view = Config.primary_of_view (cfg t) view
 let collector_of t view = (primary_of t view + 1) mod n t
 let executor_of t view = (primary_of t view + 2) mod n t
 
-let is_primary t = Ctx.is_primary_of t.ctx t.view
+let is_primary t = Ctx.is_primary_of t.ctx t.vc.view
 let is_collector_of t view = Ctx.id t.ctx = collector_of t view
-let is_executor t = Ctx.id t.ctx = executor_of t t.view
-let active_in t view = t.status = Active && view = t.view
-
-let in_view_change t =
-  match t.status with Active -> false | In_view_change _ -> true
+let is_executor t = Ctx.id t.ctx = executor_of t t.vc.view
+let active_in t view = V.active_in t.vc view
+let in_view_change t = V.in_view_change t.vc
 
 let stable_seqno t = Exec.stable t.exec
 
@@ -146,16 +132,6 @@ let slot_key_seqno key = key land ((1 lsl 40) - 1)
 
 let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
-
-let tr_instant t what = Ctx.trace_instant t.ctx ~cat:name ~view:t.view what
-
-let entries_consecutive entries =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | (a : Message.exec_entry) :: (b :: _ as rest) ->
-        b.Message.e_seqno = a.Message.e_seqno + 1 && go rest
-  in
-  go entries
 
 let slot_of t ~view ~seqno =
   match Hashtbl.find_opt t.slots (slot_key ~view ~seqno) with
@@ -242,7 +218,7 @@ let collector_check t ~view ~seqno =
 
 let rec collector_timeout t ~view ~seqno =
   let cs = coll_slot_of t ~view ~seqno in
-  if (not cs.proof_sent) && view >= t.view then begin
+  if (not cs.proof_sent) && view >= t.vc.view then begin
     let best =
       Hashtbl.fold
         (fun _ d acc ->
@@ -275,7 +251,7 @@ let arm_collector_timer t ~view ~seqno =
 let on_share t ~src ~view ~seqno ~digest =
   (* The collector of a future view may legitimately aggregate before its
      own NEW-VIEW arrives: the shares prove the view is live elsewhere. *)
-  if is_collector_of t view && view >= t.view then begin
+  if is_collector_of t view && view >= t.vc.view then begin
     let cs = coll_slot_of t ~view ~seqno in
     if not (Hashtbl.mem cs.shares src) then begin
       let c = costs t in
@@ -287,7 +263,7 @@ let on_share t ~src ~view ~seqno ~digest =
   end
 
 let on_share2 t ~src ~view ~seqno ~digest =
-  if is_collector_of t view && view >= t.view then begin
+  if is_collector_of t view && view >= t.vc.view then begin
     let cs = coll_slot_of t ~view ~seqno in
     if not (Hashtbl.mem cs.shares2 src) then begin
       Hashtbl.replace cs.shares2 src digest;
@@ -361,7 +337,7 @@ let process_final_proof t ~view ~seqno slot =
   end
 
 let on_commit_proof t ~src ~view ~seqno ~digest ~full =
-  if view >= t.view && src = collector_of t view then begin
+  if view >= t.vc.view && src = collector_of t view then begin
     let slot = slot_of t ~view ~seqno in
     match slot.batch with
     | Some batch when String.equal batch.Message.digest digest ->
@@ -370,24 +346,26 @@ let on_commit_proof t ~src ~view ~seqno ~digest ~full =
         slot.certified <- true;
         if active_in t view then
           process_first_proof t ~view ~seqno slot ~digest ~full
-        else if view > t.view then slot.pending_proof <- Some (P_first (digest, full))
+        else if view > t.vc.view then
+          slot.pending_proof <- Some (P_first (digest, full))
     | Some _ | None -> ()
   end
 
 let on_final_proof t ~src ~view ~seqno ~digest =
-  if view >= t.view && src = collector_of t view then begin
+  if view >= t.vc.view && src = collector_of t view then begin
     let slot = slot_of t ~view ~seqno in
     match slot.batch with
     | Some batch when String.equal batch.Message.digest digest ->
         slot.certified <- true;
         if active_in t view then process_final_proof t ~view ~seqno slot
-        else if view > t.view then slot.pending_proof <- Some (P_final digest)
+        else if view > t.vc.view then
+          slot.pending_proof <- Some (P_final digest)
     | Some _ | None -> ()
   end
 
 let on_preprepare t ~src ~view ~seqno (batch : Message.batch) =
   if
-    view >= t.view
+    view >= t.vc.view
     && src = primary_of t view
     && not (Ctx.is_primary_of t.ctx view)
   then begin
@@ -399,7 +377,7 @@ let on_preprepare t ~src ~view ~seqno (batch : Message.batch) =
   end
 
 let activate_pending_slots t =
-  let view = t.view in
+  let view = t.vc.view in
   Hashtbl.iter
     (fun key slot ->
       if slot_key_view key = view then begin
@@ -449,7 +427,7 @@ let executor_respond t ~seqno ~result =
                 ~bytes:(Message.Wire.response config ~per_reqs:(List.length acks))
                 (Message.Exec_response
                    {
-                     view = t.view;
+                     view = t.vc.view;
                      seqno;
                      replica = Ctx.id t.ctx;
                      batch_digest = "";
@@ -500,7 +478,7 @@ let on_executed t ~seqno ~batch ~result =
   else begin
     let c = costs t in
     Ctx.work t.ctx Server.Worker ~cost:c.Cost.ts_share_sign (fun () ->
-        Ctx.send_replica t.ctx ~dst:(executor_of t t.view)
+        Ctx.send_replica t.ctx ~dst:(executor_of t t.vc.view)
           ~bytes:Message.Wire.vote
           (S_exec_share { seqno; result }))
   end
@@ -509,10 +487,10 @@ let on_executed t ~seqno ~batch ~result =
 (* Primary                                                             *)
 
 let propose_batch t (batch : Message.batch) =
-  if Ctx.alive t.ctx && t.status = Active && is_primary t then begin
+  if Ctx.alive t.ctx && not (in_view_change t) && is_primary t then begin
     let seqno = t.next_seqno in
     t.next_seqno <- seqno + 1;
-    let view = t.view in
+    let view = t.vc.view in
     (match Ctx.behavior t.ctx with
     | Ctx.Honest ->
         Ctx.broadcast_replicas t.ctx
@@ -570,14 +548,6 @@ let propose_batch t (batch : Message.batch) =
      entry, then the shared digest with the most claims, therefore never
      drops a committed slot. *)
 
-let vc_bucket t from_view =
-  match Hashtbl.find_opt t.vc_store from_view with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.vc_store from_view h;
-      h
-
 let inflight_entries t =
   Hashtbl.fold
     (fun key slot acc ->
@@ -609,146 +579,26 @@ let my_vc_payload t ~from_view =
     shared = List.sort by_seqno shared;
   }
 
-let nv_deadline_for t =
-  (cfg t).Config.view_timeout *. float_of_int (1 lsl min t.vc_round 6)
+(* Open the failover span on the first slot the view change blocks;
+   [adopt] closes it with a "new_view" phase. *)
+let halt t ~from_view =
+  t.vc_phase_slot <- Exec.k_exec t.exec + 1;
+  tr_phase t ~view:(from_view + 1) ~seqno:t.vc_phase_slot "view_change"
 
-let request_nv t ~src ~view =
-  if view > t.view then
-    Ctx.send_replica t.ctx ~dst:src ~bytes:Message.Wire.vote
-      (S_nv_request { view })
-
-let on_nv_request t ~src ~view =
-  match t.last_nv with
-  | Some (new_view, vcs) when new_view >= view ->
-      let total =
-        List.fold_left
-          (fun acc (_, p) ->
-            acc + List.length p.executed + List.length p.certified
-            + List.length p.shared)
-          0 vcs
-      in
-      Ctx.send_replica t.ctx ~dst:src
-        ~bytes:(Message.Wire.view_change (cfg t) ~entries:total)
-        (S_new_view { new_view; vcs })
-  | Some _ | None -> ()
-
-let rec initiate_view_change t ~from_view =
-  let already =
-    match t.status with In_view_change v -> v >= from_view | Active -> false
-  in
-  if (not already) && from_view >= t.view then begin
-    tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "sbft.view_changes";
-    (if t.status = Active then begin
-       t.vc_phase_slot <- Exec.k_exec t.exec + 1;
-       tr_phase t ~view:(from_view + 1) ~seqno:t.vc_phase_slot "view_change"
-     end);
-    t.status <- In_view_change from_view;
-    t.nv_deadline <- Ctx.now t.ctx +. nv_deadline_for t;
-    t.vc_round <- t.vc_round + 1;
-    let payload = my_vc_payload t ~from_view in
-    let bytes =
-      Message.Wire.view_change (cfg t)
-        ~entries:
-          (List.length payload.executed + List.length payload.certified
-          + List.length payload.shared)
-    in
-    Ctx.broadcast_replicas t.ctx ~bytes (S_view_change { payload });
-    Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
-    maybe_new_view t ~from_view;
-    let this_deadline = t.nv_deadline in
-    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-        match t.status with
-        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
-            initiate_view_change t ~from_view:(from_view + 1)
-        | In_view_change _ | Active -> ())
-  end
-
-and maybe_new_view t ~from_view =
-  let new_view = from_view + 1 in
-  if
-    Config.primary_of_view (cfg t) new_view = Ctx.id t.ctx
-    && t.nv_sent_for < new_view
-  then begin
-    let bucket = vc_bucket t from_view in
-    let valid =
-      Hashtbl.fold
-        (fun src p acc ->
-          if entries_consecutive p.executed then (src, p) :: acc else acc)
-        bucket []
-    in
-    if List.length valid >= nf t then begin
-      t.nv_sent_for <- new_view;
-      let vcs =
-        List.sort (fun (a, _) (b, _) -> compare a b) valid
-        |> List.filteri (fun i _ -> i < nf t)
-      in
-      let total =
-        List.fold_left
-          (fun acc (_, p) ->
-            acc + List.length p.executed + List.length p.certified
-            + List.length p.shared)
-          0 vcs
-      in
-      Ctx.broadcast_replicas t.ctx
-        ~bytes:(Message.Wire.view_change (cfg t) ~entries:total)
-        (S_new_view { new_view; vcs });
-      enter_new_view t ~new_view ~vcs
-    end
-  end
-
-and on_view_change t ~src ~payload =
-  if payload.from_view >= t.view - 1 && entries_consecutive payload.executed
-  then begin
-    let bucket = vc_bucket t payload.from_view in
-    Hashtbl.replace bucket src payload;
-    (* Join rule: f+1 distinct view-change requests for the current view
-       prove some non-faulty replica detected a failure. *)
-    (if t.status = Active && payload.from_view = t.view then
-       if Hashtbl.length bucket >= fq t + 1 then
-         initiate_view_change t ~from_view:t.view);
-    match t.status with
-    | In_view_change v when v = payload.from_view -> maybe_new_view t ~from_view:v
-    | In_view_change _ | Active -> ()
-  end
-
-and enter_new_view t ~new_view ~vcs =
+let adopt t ~new_view vcs =
   (* SBFT execution is proof-gated, so adoption only ever fast-forwards
      (no rollback): adopt the longest executed prefix, then re-run
      consensus in the new view for every slot a certificate supports. *)
-  let best =
-    List.fold_left
-      (fun acc ((_, p) : int * vc_payload) ->
-        match acc with
-        | Some (b : vc_payload) when b.exec_upto >= p.exec_upto -> acc
-        | _ -> Some p)
-      None vcs
-  in
+  let best = V.longest ~by:(fun (p : vc_payload) -> p.exec_upto) vcs in
   let kmax = match best with Some p -> p.exec_upto | None -> -1 in
-  (match best with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun (e : Message.exec_entry) ->
-          if e.Message.e_seqno = Exec.k_exec t.exec + 1 then
-            Exec.force_adopt t.exec ~seqno:e.Message.e_seqno
-              ~view:e.Message.e_view ~batch:e.Message.e_batch
-              ~proof:(Block.Vote_certificate []))
-        p.executed);
+  V.adopt_in_order t.exec (match best with Some p -> p.executed | None -> []);
   (* Re-proposal selection above kmax: highest-view certified entry first,
      then the shared digest with the most matching claims (ties broken by
      view then digest, deterministically). *)
-  let reproposals : (int, Message.exec_entry) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ((_, p) : int * vc_payload) ->
-      List.iter
-        (fun (e : Message.exec_entry) ->
-          if e.Message.e_seqno > kmax then
-            match Hashtbl.find_opt reproposals e.Message.e_seqno with
-            | Some prev when prev.Message.e_view >= e.Message.e_view -> ()
-            | Some _ | None -> Hashtbl.replace reproposals e.Message.e_seqno e)
-        p.certified)
-    vcs;
+  let reproposals =
+    V.highest_view ~above:kmax
+      (List.map (fun ((_, p) : int * vc_payload) -> p.certified) vcs)
+  in
   let shared_claims : (int, (string, int * Message.exec_entry) Hashtbl.t)
       Hashtbl.t =
     Hashtbl.create 16
@@ -797,13 +647,8 @@ and enter_new_view t ~new_view ~vcs =
       | Some (_, _, e) -> Hashtbl.replace reproposals seqno e
       | None -> ())
     shared_claims;
-  t.view <- new_view;
-  t.status <- Active;
-  t.vc_round <- 0;
-  tr_instant t "new_view";
+  V.install t.vc ~new_view vcs;
   tr_phase t ~view:new_view ~seqno:t.vc_phase_slot "new_view";
-  if Metrics.enabled () then Metrics.cincr "sbft.new_views";
-  t.last_nv <- Some (new_view, vcs);
   let max_reproposed =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax
   in
@@ -818,55 +663,22 @@ and enter_new_view t ~new_view ~vcs =
      engine behind gaps that will never fill there; the new view re-runs
      consensus for them, so drop the stale offers. *)
   Exec.abandon_unexecuted t.exec;
-  if is_primary t then begin
-    Pipeline.reset_window t.pipeline;
-    (* Our first post-failover commits wait out the collector timer (the
-       fast path needs all n shares, and somebody just failed); stale
-       watch deadlines must not re-suspect during that window. *)
-    Recovery.postpone_watches t.recovery;
-    (* Gaps between kmax and the highest re-proposed slot get null batches:
-       a slot no certificate supports can never close otherwise, and
-       execution would park behind it forever. *)
-    let entries =
-      List.init (max_reproposed - kmax) (fun i ->
-          let seqno = kmax + 1 + i in
-          match Hashtbl.find_opt reproposals seqno with
-          | Some e -> e
-          | None ->
-              {
-                Message.e_seqno = seqno;
-                e_view = new_view;
-                e_batch =
-                  {
-                    Message.digest = Printf.sprintf "sbft-null-%d" seqno;
-                    reqs = [||];
-                  };
-              })
-    in
-    List.iter
-      (fun (e : Message.exec_entry) ->
-        Ctx.broadcast_replicas t.ctx
-          ~bytes:(Message.Wire.propose (cfg t))
-          (S_preprepare
-             { view = new_view; seqno = e.Message.e_seqno;
-               batch = e.Message.e_batch });
-        send_share t ~view:new_view ~seqno:e.Message.e_seqno e.Message.e_batch)
-      entries;
-    (* Requests in a re-proposed batch are on their way back through
-       consensus but [Exec.was_executed] stays false until the slot
-       re-commits: mark them proposed so neither the watched backlog nor a
-       client retransmission gets them a second seqno. *)
-    Hashtbl.iter
-      (fun _ (e : Message.exec_entry) ->
-        Array.iter (Pipeline.mark_proposed t.pipeline) e.Message.e_batch.Message.reqs)
-      reproposals;
-    List.iter
-      (fun req ->
-        if not (Exec.was_executed t.exec req) then
-          Pipeline.add_request t.pipeline req)
-      (Recovery.watched_requests t.recovery)
-  end
-  else Recovery.refresh_watches t.recovery;
+  V.resume_backlog ~primary:(is_primary t) ~exec:t.exec ~pipeline:t.pipeline
+    ~recovery:t.recovery (fun () ->
+      (* Our first post-failover commits wait out the collector timer (the
+         fast path needs all n shares, and somebody just failed); stale
+         watch deadlines must not re-suspect during that window. *)
+      Recovery.postpone_watches t.recovery;
+      (* Gaps between kmax and the highest re-proposed slot get null
+         batches: a slot no certificate supports can never close
+         otherwise, and execution would park behind it forever. *)
+      V.repropose ~name ~new_view ~kmax ~upto:max_reproposed reproposals
+        t.pipeline ~propose:(fun (e : Message.exec_entry) ->
+          Ctx.broadcast_replicas t.ctx
+            ~bytes:(Message.Wire.propose (cfg t))
+            (S_preprepare
+               { view = new_view; seqno = e.e_seqno; batch = e.e_batch });
+          send_share t ~view:new_view ~seqno:e.e_seqno e.e_batch));
   Hashtbl.reset t.retries;
   (* Executor failover: re-send the execution share of every executed
      slot still above the stable checkpoint to this view's executor, so
@@ -885,19 +697,23 @@ and enter_new_view t ~new_view ~vcs =
              (S_exec_share { seqno; result }));
   activate_pending_slots t
 
-and on_new_view t ~src ~new_view ~vcs =
-  if
-    new_view > t.view
-    && src = Config.primary_of_view (cfg t) new_view
-    && List.length vcs >= nf t
-    && List.for_all (fun (_, p) -> entries_consecutive p.executed) vcs
-    &&
-    let srcs = List.map fst vcs in
-    List.length (List.sort_uniq compare srcs) = List.length srcs
-  then enter_new_view t ~new_view ~vcs
+module Vc = V.Make (struct
+  type nonrec replica = replica
+  type cert = vc_payload
 
-let force_suspect t =
-  if t.status = Active then initiate_view_change t ~from_view:t.view
+  let state t = t.vc
+  let from_view (p : vc_payload) = p.from_view
+
+  let size (p : vc_payload) =
+    List.length p.executed + List.length p.certified + List.length p.shared
+
+  let valid (p : vc_payload) = V.entries_consecutive p.executed
+  let summarize = my_vc_payload
+  let halt = halt
+  let adopt = adopt
+end)
+
+let force_suspect = Vc.force_suspect
 
 (* The current executor answers a retried-but-executed request again:
    the aggregate response is a single message, so one lossy link must
@@ -914,7 +730,7 @@ let re_respond t (req : Message.request) =
         ~bytes:(Message.Wire.response config ~per_reqs:1)
         (Message.Exec_response
            {
-             view = t.view;
+             view = t.vc.view;
              seqno;
              replica = Ctx.id t.ctx;
              batch_digest = "";
@@ -944,7 +760,7 @@ let on_client_request t (req : Message.request) =
        cannot see, because execution already happened everywhere. The
        live executor re-responds; persistent retries rotate the view,
        and with it the executor role. *)
-    if t.status = Active then begin
+    if not (in_view_change t) then begin
       if is_executor t then re_respond t req;
       (* Client retransmissions back off exponentially, so we may only
          ever see this one retry: instead of waiting for a second,
@@ -956,19 +772,19 @@ let on_client_request t (req : Message.request) =
       if not (Hashtbl.mem t.retries key) then begin
         Hashtbl.replace t.retries key (Ctx.now t.ctx);
         let cslot = (req.Message.hub lsl 19) lor req.Message.client in
-        let vw = t.view in
+        let vw = t.vc.view in
         Ctx.schedule t.ctx
           ~delay:(2.0 *. (cfg t).Config.view_timeout)
           (fun () ->
             Hashtbl.remove t.retries key;
-            if Ctx.alive t.ctx && t.status = Active && t.view = vw then
+            if Ctx.alive t.ctx && not (in_view_change t) && t.vc.view = vw then
               match Hashtbl.find_opt t.exec_rids cslot with
               | Some best when best > req.Message.rid -> ()
-              | Some _ | None -> initiate_view_change t ~from_view:t.view)
+              | Some _ | None -> Vc.initiate_view_change t ~from_view:t.vc.view)
       end
     end
   end
-  else if t.status = Active && is_primary t then
+  else if not (in_view_change t) && is_primary t then
     Pipeline.add_request t.pipeline req
   else Recovery.watch t.recovery req
 
@@ -997,13 +813,7 @@ let create_replica ctx =
       exec_rids = Hashtbl.create 16;
       retries = Hashtbl.create 64;
       next_seqno = 0;
-      view = 0;
-      status = Active;
-      vc_store = Hashtbl.create 4;
-      vc_round = 0;
-      nv_deadline = 0.0;
-      nv_sent_for = 0;
-      last_nv = None;
+      vc = V.create ctx ~name;
       vc_phase_slot = 0;
     }
   in
@@ -1018,9 +828,9 @@ let create_replica ctx =
     Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
   t.recovery <-
     Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> primary_of t t.view)
-      ~active:(fun () -> t.status = Active)
-      ~on_suspect:(fun () -> initiate_view_change t ~from_view:t.view)
+      ~primary:(fun () -> primary_of t t.vc.view)
+      ~active:(fun () -> not (in_view_change t))
+      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ~on_stable:(fun seqno ->
         Hashtbl.iter
           (fun key _ ->
@@ -1058,22 +868,19 @@ let on_message t ~src msg =
     | Message.Client_request_bundle reqs -> List.iter (on_client_request t) reqs
     | Message.Client_forward req -> on_client_request t req
     | S_preprepare { view; seqno; batch } ->
-        request_nv t ~src ~view;
+        V.request_nv t.vc ~src ~view;
         on_preprepare t ~src ~view ~seqno batch
     | S_share { view; seqno; digest } -> on_share t ~src ~view ~seqno ~digest
     | S_commit_proof { view; seqno; digest; full } ->
-        request_nv t ~src ~view;
+        V.request_nv t.vc ~src ~view;
         on_commit_proof t ~src ~view ~seqno ~digest ~full
     | S_share2 { view; seqno; digest } -> on_share2 t ~src ~view ~seqno ~digest
     | S_final_proof { view; seqno; digest } ->
-        request_nv t ~src ~view;
+        V.request_nv t.vc ~src ~view;
         on_final_proof t ~src ~view ~seqno ~digest
     | S_exec_share { seqno; result } -> on_exec_share t ~src ~seqno ~result
     | S_exec_proof _ -> ()
-    | S_view_change { payload } -> on_view_change t ~src ~payload
-    | S_new_view { new_view; vcs } -> on_new_view t ~src ~new_view ~vcs
-    | S_nv_request { view } -> on_nv_request t ~src ~view
-    | _ -> ()
+    | msg -> Vc.on_message t ~src msg
 
 let receive_cost ~src config cost msg =
   match R.Protocol_intf.client_receive_cost ~src config cost msg with
@@ -1086,7 +893,7 @@ let receive_cost ~src config cost msg =
           base +. cost.Cost.mac_verify
       | S_commit_proof _ | S_final_proof _ | S_exec_proof _ ->
           base +. cost.Cost.mac_verify
-      | S_view_change _ | S_new_view _ | S_nv_request _ ->
+      | Vc.Vc_request _ | Vc.Nv_propose _ | V.Nv_request _ ->
           (* View-change summaries are forwarded, hence signed. *)
           base +. cost.Cost.ds_verify
       | _ -> base)

@@ -8,6 +8,7 @@ module Pipeline = R.Pipeline
 module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
+module V = R.View_change
 module Block = Poe_ledger.Block
 
 let name = "zyzzyva"
@@ -44,17 +45,9 @@ type Message.t +=
       replica : int;
     }
       (** replica → client: acknowledgement of a commit certificate *)
-  | Z_vc_request of { payload : vc_payload }
-      (** all → all: signed local-history certificate (view change) *)
-  | Z_nv_propose of { new_view : int; vcs : (int * vc_payload) list }
-      (** new primary → all: nf history certificates; install new view *)
-  | Z_nv_request of { view : int }
-      (** straggler → peer: please retransmit the NV that installed view *)
   | Z_pom of { view : int }
       (** client → all: proof of misbehavior — two replicas answered the
           same slot of [view] with different results *)
-
-type status = Active | In_view_change of int (* from_view *)
 
 type replica = {
   ctx : Ctx.t;
@@ -62,15 +55,8 @@ type replica = {
   mutable pipeline : Pipeline.t;
   mutable recovery : Recovery.t;
   mutable next_seqno : int;
-  mutable view : int;
-  mutable status : status;
+  vc : vc_payload V.t;
   mutable cc_upto : int;  (* highest seqno we Local_commit-acked *)
-  vc_store : (int, (int, vc_payload) Hashtbl.t) Hashtbl.t;
-      (* from_view -> sender -> payload *)
-  mutable vc_round : int;  (* consecutive view-changes (backoff) *)
-  mutable nv_deadline : float;
-  mutable nv_sent_for : int;
-  mutable last_nv : (int * (int * vc_payload) list) option;
   mutable vc_phase_slot : int;
       (* slot carrying the open "view_change" phase span *)
   pending : (int, Message.batch) Hashtbl.t;
@@ -82,18 +68,15 @@ type replica = {
 }
 
 let ctx t = t.ctx
-let current_view t = t.view
+let current_view t = t.vc.view
 let view_of = current_view
 let k_exec t = Exec.k_exec t.exec
 let cfg t = Ctx.config t.ctx
-let nf t = Config.nf (cfg t)
 let fq t = Config.f (cfg t)
 let primary_of t view = Config.primary_of_view (cfg t) view
-let is_primary t = Ctx.is_primary_of t.ctx t.view
-let active_in t view = t.status = Active && view = t.view
-
-let in_view_change t =
-  match t.status with Active -> false | In_view_change _ -> true
+let is_primary t = Ctx.is_primary_of t.ctx t.vc.view
+let active_in t view = V.active_in t.vc view
+let in_view_change t = V.in_view_change t.vc
 
 let stable_seqno t = Exec.stable t.exec
 
@@ -109,16 +92,6 @@ let slot_key_seqno key = key land ((1 lsl 40) - 1)
 let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
 
-let tr_instant t what = Ctx.trace_instant t.ctx ~cat:name ~view:t.view what
-
-let entries_consecutive entries =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | (a : Message.exec_entry) :: (b :: _ as rest) ->
-        b.Message.e_seqno = a.Message.e_seqno + 1 && go rest
-  in
-  go entries
-
 (* ------------------------------------------------------------------ *)
 (* Normal case: speculative execution                                  *)
 
@@ -127,10 +100,10 @@ let speculate t ~view ~seqno (batch : Message.batch) =
   Exec.offer t.exec ~seqno ~view ~batch ~proof:Block.No_proof
 
 let propose_batch t (batch : Message.batch) =
-  if Ctx.alive t.ctx && t.status = Active && is_primary t then begin
+  if Ctx.alive t.ctx && not (in_view_change t) && is_primary t then begin
     let seqno = t.next_seqno in
     t.next_seqno <- seqno + 1;
-    let view = t.view in
+    let view = t.vc.view in
     tr_phase t ~view ~seqno "propose";
     (match Ctx.behavior t.ctx with
     | Ctx.Honest ->
@@ -192,14 +165,6 @@ let propose_batch t (batch : Message.batch) =
      checkpoint, with certified-but-unexecuted slots abandoned (the PoE
      traps of PR 2). *)
 
-let vc_bucket t from_view =
-  match Hashtbl.find_opt t.vc_store from_view with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.vc_store from_view h;
-      h
-
 let my_vc_payload t ~from_view =
   let entries =
     Exec.executed_since t.exec (Exec.stable t.exec)
@@ -213,121 +178,17 @@ let my_vc_payload t ~from_view =
     entries;
   }
 
-let nv_deadline_for t =
-  (cfg t).Config.view_timeout *. float_of_int (1 lsl min t.vc_round 6)
+(* Open the failover span on the first slot the view change blocks;
+   [adopt] closes it with a "new_view" phase. *)
+let halt t ~from_view =
+  t.vc_phase_slot <- Exec.k_exec t.exec + 1;
+  tr_phase t ~view:(from_view + 1) ~seqno:t.vc_phase_slot "view_change"
 
-let request_nv t ~src ~view =
-  if view > t.view then
-    Ctx.send_replica t.ctx ~dst:src ~bytes:Message.Wire.vote
-      (Z_nv_request { view })
-
-let on_nv_request t ~src ~view =
-  match t.last_nv with
-  | Some (new_view, vcs) when new_view >= view ->
-      let total =
-        List.fold_left (fun acc (_, p) -> acc + List.length p.entries) 0 vcs
-      in
-      Ctx.send_replica t.ctx ~dst:src
-        ~bytes:(Message.Wire.view_change (cfg t) ~entries:total)
-        (Z_nv_propose { new_view; vcs })
-  | Some _ | None -> ()
-
-let rec initiate_view_change t ~from_view =
-  let already_requested =
-    match t.status with
-    | In_view_change v -> v >= from_view
-    | Active -> false
-  in
-  if (not already_requested) && from_view >= t.view then begin
-    tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "zyzzyva.view_changes";
-    (if t.status = Active then begin
-       (* Open the failover span on the first slot the view change
-          blocks; enter_new_view closes it with a "new_view" phase. *)
-       t.vc_phase_slot <- Exec.k_exec t.exec + 1;
-       tr_phase t ~view:(from_view + 1) ~seqno:t.vc_phase_slot "view_change"
-     end);
-    t.status <- In_view_change from_view;
-    t.nv_deadline <- Ctx.now t.ctx +. nv_deadline_for t;
-    t.vc_round <- t.vc_round + 1;
-    let payload = my_vc_payload t ~from_view in
-    let bytes =
-      Message.Wire.view_change (cfg t) ~entries:(List.length payload.entries)
-    in
-    Ctx.broadcast_replicas t.ctx ~bytes (Z_vc_request { payload });
-    Hashtbl.replace (vc_bucket t from_view) (Ctx.id t.ctx) payload;
-    maybe_propose_new_view t ~from_view;
-    let this_deadline = t.nv_deadline in
-    Ctx.schedule t.ctx ~delay:(this_deadline -. Ctx.now t.ctx) (fun () ->
-        match t.status with
-        | In_view_change v when v = from_view && t.nv_deadline = this_deadline ->
-            initiate_view_change t ~from_view:(from_view + 1)
-        | In_view_change _ | Active -> ())
-  end
-
-and maybe_propose_new_view t ~from_view =
-  let new_view = from_view + 1 in
-  if
-    Config.primary_of_view (cfg t) new_view = Ctx.id t.ctx
-    && t.nv_sent_for < new_view
-  then begin
-    let bucket = vc_bucket t from_view in
-    let valid =
-      Hashtbl.fold
-        (fun src payload acc ->
-          if
-            entries_consecutive payload.entries
-            && payload.cc_upto <= payload.exec_upto
-          then (src, payload) :: acc
-          else acc)
-        bucket []
-    in
-    if List.length valid >= nf t then begin
-      t.nv_sent_for <- new_view;
-      let vcs =
-        List.sort (fun (a, _) (b, _) -> compare a b) valid
-        |> List.filteri (fun i _ -> i < nf t)
-      in
-      let total_entries =
-        List.fold_left (fun acc (_, p) -> acc + List.length p.entries) 0 vcs
-      in
-      let bytes = Message.Wire.view_change (cfg t) ~entries:total_entries in
-      Ctx.broadcast_replicas t.ctx ~bytes (Z_nv_propose { new_view; vcs });
-      enter_new_view t ~new_view ~vcs
-    end
-  end
-
-and on_vc_request t ~src ~(payload : vc_payload) =
-  if
-    payload.from_view >= t.view - 1
-    && entries_consecutive payload.entries
-    && payload.cc_upto <= payload.exec_upto
-  then begin
-    let bucket = vc_bucket t payload.from_view in
-    Hashtbl.replace bucket src payload;
-    (* Join rule: f+1 distinct view-change requests for the current view
-       prove some non-faulty replica detected a failure. *)
-    (if t.status = Active && payload.from_view = t.view then
-       let distinct = Hashtbl.length bucket in
-       if distinct >= fq t + 1 then initiate_view_change t ~from_view:t.view);
-    (match t.status with
-    | In_view_change v when v = payload.from_view ->
-        maybe_propose_new_view t ~from_view:v
-    | In_view_change _ | Active -> ())
-  end
-
-and enter_new_view t ~new_view ~vcs =
+let adopt t ~new_view vcs =
   let floor = Exec.stable t.exec in
   (* The summary whose acked commit certificate reaches highest: its own
      entries are adopted through [kcc] when per-slot votes fall short. *)
-  let cc_best =
-    List.fold_left
-      (fun acc ((_, p) : int * vc_payload) ->
-        match acc with
-        | Some (b : vc_payload) when b.cc_upto >= p.cc_upto -> acc
-        | _ -> Some p)
-      None vcs
-  in
+  let cc_best = V.longest ~by:(fun (p : vc_payload) -> p.cc_upto) vcs in
   let kcc = match cc_best with Some p -> p.cc_upto | None -> -1 in
   (* Per-slot support: an explicit matching entry, or — for a summary
      whose history starts above the slot — the sender's stable checkpoint
@@ -411,47 +272,12 @@ and enter_new_view t ~new_view ~vcs =
     | [] -> floor
   in
   (* Uncertified speculative suffix: roll it back — never past the stable
-     checkpoint (nf-certified, final). *)
-  let target = max kadopt floor in
-  if Exec.k_exec t.exec > target then
-    ignore (Exec.rollback_to t.exec ~seqno:target);
-  (* Certified-but-unexecuted slots of the dead view (out-of-order offers
-     still parked in the engine) are abandoned, not adopted. *)
-  Exec.abandon_unexecuted t.exec;
-  (* Roll back to just before the first entry where our speculative
-     history diverges from the adopted prefix, then re-execute it. *)
-  let divergence =
-    List.find_opt
-      (fun (e : Message.exec_entry) ->
-        e.Message.e_seqno <= Exec.k_exec t.exec
-        &&
-        match Exec.executed_batch t.exec e.Message.e_seqno with
-        | Some b ->
-            not
-              (String.equal b.Message.digest e.Message.e_batch.Message.digest)
-        | None -> false)
-      adopted
-  in
-  (match divergence with
-  | Some e ->
-      let to_seqno = max (e.Message.e_seqno - 1) floor in
-      if Exec.k_exec t.exec > to_seqno then
-        ignore (Exec.rollback_to t.exec ~seqno:to_seqno)
-  | None -> ());
-  List.iter
-    (fun (e : Message.exec_entry) ->
-      if e.Message.e_seqno = Exec.k_exec t.exec + 1 then
-        Exec.force_adopt t.exec ~seqno:e.Message.e_seqno
-          ~view:e.Message.e_view ~batch:e.Message.e_batch
-          ~proof:(Block.Vote_certificate []))
-    adopted;
-  t.view <- new_view;
-  t.status <- Active;
-  t.vc_round <- 0;
-  tr_instant t "new_view";
+     checkpoint (nf-certified, final) — with certified-but-unexecuted
+     slots of the dead view abandoned, then re-execute from the first
+     divergence. *)
+  V.reconcile t.exec ~floor ~upto:kadopt adopted;
+  V.install t.vc ~new_view vcs;
   tr_phase t ~view:new_view ~seqno:t.vc_phase_slot "new_view";
-  if Metrics.enabled () then Metrics.cincr "zyzzyva.new_views";
-  t.last_nv <- Some (new_view, vcs);
   Hashtbl.reset t.retries;
   (* Never re-propose into the certified prefix: a new primary that is
      itself behind [cert_floor] leaves the gap for state transfer rather
@@ -467,62 +293,50 @@ and enter_new_view t ~new_view ~vcs =
       if slot_key_view key = new_view then
         speculate t ~view:new_view ~seqno:(slot_key_seqno key) batch)
     (List.sort compare stashed);
-  if is_primary t then begin
-    Pipeline.reset_window t.pipeline;
-    (* Dedup against the cluster's decided prefix, not just local
-       execution: every completed request appears in the adopted union
-       of any nf summaries. *)
-    List.iter
-      (fun ((_, p) : int * vc_payload) ->
-        List.iter
-          (fun (e : Message.exec_entry) ->
-            Array.iter
-              (Pipeline.mark_proposed t.pipeline)
-              e.Message.e_batch.Message.reqs)
-          p.entries)
-      vcs;
-    List.iter
-      (fun req ->
-        if not (Exec.was_executed t.exec req) then
-          Pipeline.add_request t.pipeline req)
-      (Recovery.watched_requests t.recovery)
-  end
-  else Recovery.refresh_watches t.recovery
+  (* Dedup against the cluster's decided prefix, not just local execution:
+     every completed request appears in the adopted union of any nf
+     summaries. *)
+  V.resume_backlog ~primary:(is_primary t) ~exec:t.exec ~pipeline:t.pipeline
+    ~recovery:t.recovery (fun () ->
+      List.iter
+        (fun ((_, p) : int * vc_payload) -> V.claim t.pipeline p.entries)
+        vcs)
 
-and on_nv_propose t ~src ~new_view ~vcs =
-  if
-    new_view > t.view
-    && src = Config.primary_of_view (cfg t) new_view
-    && List.length vcs >= nf t
-    && List.for_all
-         (fun (_, p) ->
-           entries_consecutive p.entries && p.cc_upto <= p.exec_upto)
-         vcs
-    &&
-    let srcs = List.map fst vcs in
-    List.length (List.sort_uniq compare srcs) = List.length srcs
-  then enter_new_view t ~new_view ~vcs
+module Vc = V.Make (struct
+  type nonrec replica = replica
+  type cert = vc_payload
 
-let force_suspect t =
-  if t.status = Active then initiate_view_change t ~from_view:t.view
+  let state t = t.vc
+  let from_view (p : vc_payload) = p.from_view
+  let size (p : vc_payload) = List.length p.entries
+
+  let valid (p : vc_payload) =
+    V.entries_consecutive p.entries && p.cc_upto <= p.exec_upto
+
+  let summarize = my_vc_payload
+  let halt = halt
+  let adopt = adopt
+end)
+
+let force_suspect = Vc.force_suspect
 
 (* ------------------------------------------------------------------ *)
 (* Message handlers                                                    *)
 
 let on_order_req t ~src ~view ~seqno (batch : Message.batch) =
   if
-    view >= t.view
+    view >= t.vc.view
     && src = primary_of t view
     && not (Ctx.is_primary_of t.ctx view)
   then begin
-    request_nv t ~src ~view;
+    V.request_nv t.vc ~src ~view;
     if active_in t view then begin
       let c = Ctx.cost t.ctx in
       Ctx.work t.ctx Server.Worker
         ~cost:(Cost.hash_cost c ~bytes:(Message.Wire.propose (cfg t)))
         (fun () -> speculate t ~view ~seqno batch)
     end
-    else if view > t.view then
+    else if view > t.vc.view then
       (* Racing ahead of the NV-PROPOSE that installs [view]: stash and
          replay on activation. (Orders for the *current* view while it is
          being changed are dropped — that view is dying.) *)
@@ -561,8 +375,8 @@ let on_commit_cert t ~seqno ~digest ~acks ~hub =
    reconciles it, so start one at once instead of after the clients'
    retry backoff. *)
 let on_pom t ~view =
-  if t.status = Active && view = t.view then
-    initiate_view_change t ~from_view:view
+  if not (in_view_change t) && view = t.vc.view then
+    Vc.initiate_view_change t ~from_view:view
 
 let on_client_request t (req : Message.request) =
   if Exec.was_executed t.exec req then begin
@@ -572,18 +386,18 @@ let on_client_request t (req : Message.request) =
        local symptom that no quorum of matching responses exists. One
        retry is routine (a forward can race our response); a retry still
        recurring a view-timeout later is suspicious. *)
-    if t.status = Active then begin
+    if not (in_view_change t) then begin
       let key = Message.request_key req in
       let now = Ctx.now t.ctx in
       match Hashtbl.find_opt t.retries key with
       | None -> Hashtbl.replace t.retries key now
       | Some first when now -. first >= (cfg t).Config.view_timeout ->
           Hashtbl.remove t.retries key;
-          initiate_view_change t ~from_view:t.view
+          Vc.initiate_view_change t ~from_view:t.vc.view
       | Some _ -> ()
     end
   end
-  else if t.status = Active && is_primary t then
+  else if not (in_view_change t) && is_primary t then
     Pipeline.add_request t.pipeline req
   else Recovery.watch t.recovery req
 
@@ -605,14 +419,8 @@ let create_replica ctx =
           ~on_suspect:(fun () -> ())
           ();
       next_seqno = 0;
-      view = 0;
-      status = Active;
+      vc = V.create ctx ~name;
       cc_upto = -1;
-      vc_store = Hashtbl.create 4;
-      vc_round = 0;
-      nv_deadline = 0.0;
-      nv_sent_for = 0;
-      last_nv = None;
       vc_phase_slot = 0;
       pending = Hashtbl.create 64;
       retries = Hashtbl.create 256;
@@ -626,9 +434,9 @@ let create_replica ctx =
     Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
   t.recovery <-
     Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> primary_of t t.view)
-      ~active:(fun () -> t.status = Active)
-      ~on_suspect:(fun () -> initiate_view_change t ~from_view:t.view)
+      ~primary:(fun () -> primary_of t t.vc.view)
+      ~active:(fun () -> not (in_view_change t))
+      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ();
   t
 
@@ -643,11 +451,8 @@ let on_message t ~src msg =
     | Order_req { view; seqno; batch } -> on_order_req t ~src ~view ~seqno batch
     | Commit_cert { seqno; digest; acks; hub } ->
         on_commit_cert t ~seqno ~digest ~acks ~hub
-    | Z_vc_request { payload } -> on_vc_request t ~src ~payload
-    | Z_nv_propose { new_view; vcs } -> on_nv_propose t ~src ~new_view ~vcs
-    | Z_nv_request { view } -> on_nv_request t ~src ~view
     | Z_pom { view } -> on_pom t ~view
-    | _ -> ()
+    | msg -> Vc.on_message t ~src msg
 
 let receive_cost ~src config cost msg =
   match R.Protocol_intf.client_receive_cost ~src config cost msg with
@@ -664,7 +469,7 @@ let receive_cost ~src config cost msg =
              throughput under a single failure (§IV-D). *)
           base
           +. (float_of_int ((2 * Config.f config) + 1) *. cost.Cost.ds_verify)
-      | Z_vc_request _ | Z_nv_propose _ | Z_nv_request _ | Z_pom _ ->
+      | Vc.Vc_request _ | Vc.Nv_propose _ | V.Nv_request _ | Z_pom _ ->
           (* History certificates are forwarded, hence signed; a proof of
              misbehavior carries the signed responses. *)
           base +. cost.Cost.ds_verify
