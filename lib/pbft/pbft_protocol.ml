@@ -301,9 +301,9 @@ let adopt t ~new_view vcs =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax
   in
   t.next_seqno <- max_reproposed + 1;
-  Hashtbl.iter
-    (fun key _ -> if slot_key_view key < new_view then Hashtbl.remove t.slots key)
-    (Hashtbl.copy t.slots);
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_view key < new_view then None else Some v)
+    t.slots;
   (* The new primary re-proposes the prepared slots at their original
      sequence numbers. Gaps between kmax and the highest prepared slot get
      null batches (the "null request" of the O computation): a slot no
@@ -371,10 +371,9 @@ let create_replica ctx =
       ~active:(fun () -> not (in_view_change t))
       ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ~on_stable:(fun seqno ->
-        Hashtbl.iter
-          (fun key _ ->
-            if slot_key_seqno key <= seqno then Hashtbl.remove t.slots key)
-          (Hashtbl.copy t.slots))
+        Hashtbl.filter_map_inplace
+          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+          t.slots)
       ();
   t
 

@@ -407,9 +407,9 @@ let adopt t ~new_view vcs =
   t.next_seqno <- max (kmax + 1) (Exec.k_exec t.exec + 1);
   (* Stale per-view consensus state is dead: every undecided proposal of
      older views is either in the adopted prefix or abandoned. *)
-  Hashtbl.iter
-    (fun key _ -> if slot_key_view key < new_view then Hashtbl.remove t.slots key)
-    (Hashtbl.copy t.slots);
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_view key < new_view then None else Some v)
+    t.slots;
   (* Proposals for the new view may have raced ahead of this NV-PROPOSE;
      support them now. *)
   activate_pending_slots t;
@@ -478,10 +478,9 @@ let create_replica ctx =
       ~active:(fun () -> not (in_view_change t))
       ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ~on_stable:(fun seqno ->
-        Hashtbl.iter
-          (fun key _ ->
-            if slot_key_seqno key <= seqno then Hashtbl.remove t.slots key)
-          (Hashtbl.copy t.slots))
+        Hashtbl.filter_map_inplace
+          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+          t.slots)
       ();
   t
 

@@ -10,6 +10,11 @@ type t = {
       (* offered but not yet scheduled: seqno -> (view, batch, proof) *)
   executed : (int, record) Hashtbl.t; (* retained executed batches *)
   exec_keys : Rid_table.t; (* requests of live executed batches *)
+  acks_by_hub : (int * int) list array;
+      (* one batch's INFORM acks per client machine; all empty between
+         batches *)
+  touched : int array; (* hubs with acks, first-touched order *)
+  mutable n_touched : int;
   mutable k_exec : int;       (* last finished *)
   mutable k_sched : int;      (* last submitted to the execute lane *)
   mutable stable : int;
@@ -24,6 +29,9 @@ let create ~ctx ?on_executed ?(respond = true) () =
     ready = Hashtbl.create 256;
     executed = Hashtbl.create 1024;
     exec_keys = Rid_table.create (Replica_ctx.config ctx);
+    acks_by_hub = Array.make (Replica_ctx.config ctx).Config.n_hubs [];
+    touched = Array.make (Replica_ctx.config ctx).Config.n_hubs 0;
+    n_touched = 0;
     k_exec = -1;
     k_sched = -1;
     stable = -1;
@@ -52,30 +60,40 @@ let remember t seqno view batch result =
   Hashtbl.replace t.executed seqno { view; batch; result };
   Array.iter (Rid_table.add t.exec_keys) batch.Message.reqs
 
+(* Coalesce the per-request INFORMs into one wire message per client
+   machine, preserving byte volume (see DESIGN.md). The per-hub buckets
+   live in the engine, so a batch allocates only its ack lists and the
+   messages. *)
 let send_responses t ~view ~seqno ~(batch : Message.batch) ~result_digest =
   let cfg = Replica_ctx.config t.ctx in
-  (* Coalesce the per-request INFORMs into one wire message per client
-     machine, preserving byte volume (see DESIGN.md). *)
-  let by_hub = Hashtbl.create 16 in
-  Array.iter
-    (fun (r : Message.request) ->
-      let acks = Option.value (Hashtbl.find_opt by_hub r.hub) ~default:[] in
-      Hashtbl.replace by_hub r.hub ((r.client, r.rid) :: acks))
-    batch.reqs;
-  Hashtbl.iter
-    (fun hub acks ->
-      let bytes = Message.Wire.response cfg ~per_reqs:(List.length acks) in
-      Replica_ctx.send_hub t.ctx ~hub ~bytes
-        (Message.Exec_response
-           {
-             view;
-             seqno;
-             replica = Replica_ctx.id t.ctx;
-             batch_digest = batch.digest;
-             result_digest;
-             acks;
-           }))
-    by_hub
+  let reqs = batch.Message.reqs in
+  for i = 0 to Array.length reqs - 1 do
+    let r = reqs.(i) in
+    let hub = r.Message.hub in
+    let acks = t.acks_by_hub.(hub) in
+    if acks == [] then begin
+      t.touched.(t.n_touched) <- hub;
+      t.n_touched <- t.n_touched + 1
+    end;
+    t.acks_by_hub.(hub) <- (r.Message.client, r.Message.rid) :: acks
+  done;
+  for i = 0 to t.n_touched - 1 do
+    let hub = t.touched.(i) in
+    let acks = t.acks_by_hub.(hub) in
+    t.acks_by_hub.(hub) <- [];
+    let bytes = Message.Wire.response cfg ~per_reqs:(List.length acks) in
+    Replica_ctx.send_hub t.ctx ~hub ~bytes
+      (Message.Exec_response
+         {
+           view;
+           seqno;
+           replica = Replica_ctx.id t.ctx;
+           batch_digest = batch.Message.digest;
+           result_digest;
+           acks;
+         })
+  done;
+  t.n_touched <- 0
 
 let finish t ~view ~seqno ~batch ~proof =
   let result_digest = Replica_ctx.execute_batch t.ctx ~view ~seqno batch ~proof in
@@ -178,15 +196,14 @@ let rollback_to t ~seqno =
       ~node:(Replica_ctx.id t.ctx) ~cat:"exec" ~seqno
       ~args:[ ("reverted", Poe_obs.Trace.I reverted) ]
       "rollback";
-  let dropped = ref [] in
-  Hashtbl.iter
+  Hashtbl.filter_map_inplace
     (fun k (r : record) ->
       if k > seqno then begin
-        dropped := k :: !dropped;
-        Array.iter (Rid_table.remove t.exec_keys) r.batch.Message.reqs
-      end)
+        Array.iter (Rid_table.remove t.exec_keys) r.batch.Message.reqs;
+        None
+      end
+      else Some r)
     t.executed;
-  List.iter (Hashtbl.remove t.executed) !dropped;
   Hashtbl.reset t.ready;
   t.k_exec <- min t.k_exec seqno;
   t.k_sched <- t.k_exec;
@@ -247,11 +264,9 @@ let adopt_snapshot t ~upto ~rows ~blocks =
    [Rid_table], this costs an interval per client rather than an entry
    per request. *)
 let gc_below t ~seqno =
-  let dropped = ref [] in
-  Hashtbl.iter
-    (fun k (_ : record) -> if k <= seqno then dropped := k :: !dropped)
-    t.executed;
-  List.iter (Hashtbl.remove t.executed) !dropped
+  Hashtbl.filter_map_inplace
+    (fun k (r : record) -> if k <= seqno then None else Some r)
+    t.executed
 
 let retained t = Hashtbl.length t.executed
 

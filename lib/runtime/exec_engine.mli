@@ -27,6 +27,15 @@ val offer :
     has executed; offering the same seqno twice is a no-op. [view] is
     stamped on responses. *)
 
+val send_responses :
+  t -> view:int -> seqno:int -> batch:Message.batch -> result_digest:string ->
+  unit
+(** Answer the clients of an executed batch: one {!Message.Exec_response}
+    per client machine the batch names, in the order the batch first
+    names each, carrying that machine's [(client, rid)] acks. Called after
+    every execution when [respond] is set; SBFT's executor calls it
+    itself. *)
+
 val k_exec : t -> int
 (** Highest executed sequence number ([-1] initially). *)
 

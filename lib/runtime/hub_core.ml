@@ -29,7 +29,10 @@ and t = {
   rng : Rng.t;
   workload : Ycsb.t option;
   hooks : hooks;
-  outstanding : (int * int, request_state) Hashtbl.t; (* (client, rid) *)
+  slots : request_state array;
+      (* the outstanding request of each logical client, [idle] if none:
+         a closed-loop client has at most one *)
+  mutable live : int; (* slots that are not [idle] *)
   next_rid : int array;
   mutable believed_view : int;
   mutable out_buffer : Message.request list; (* newest first *)
@@ -41,6 +44,17 @@ and t = {
   mutable paused : bool;
 }
 
+(* The empty slot. Shared by every hub and never mutated: nothing reaches
+   it except through a slot, and every slot access checks for it first. *)
+let idle =
+  {
+    req = { Message.hub = -1; client = -1; rid = -1; op = None; submitted = 0.0 };
+    responses = [];
+    first_sent = 0.0;
+    retries = 0;
+    next_deadline = infinity;
+  }
+
 let create ~hub ~config ~engine ~net ~stats ~rng ~workload ~hooks () =
   {
     hub;
@@ -51,7 +65,8 @@ let create ~hub ~config ~engine ~net ~stats ~rng ~workload ~hooks () =
     rng;
     workload;
     hooks;
-    outstanding = Hashtbl.create (4 * config.Config.clients_per_hub);
+    slots = Array.make config.Config.clients_per_hub idle;
+    live = 0;
     next_rid = Array.make config.Config.clients_per_hub 0;
     believed_view = 0;
     out_buffer = [];
@@ -66,13 +81,17 @@ let create ~hub ~config ~engine ~net ~stats ~rng ~workload ~hooks () =
 let hub_index t = t.hub
 let node_id t = t.config.Config.n + t.hub
 let believed_view t = t.believed_view
-let outstanding t = Hashtbl.length t.outstanding
+let outstanding t = t.live
 let completed t = t.completed
 
 let oldest_outstanding_age t ~now =
-  Hashtbl.fold
-    (fun _ rs acc -> Float.max acc (now -. rs.first_sent))
-    t.outstanding 0.0
+  let oldest = ref 0.0 in
+  for client = 0 to Array.length t.slots - 1 do
+    let rs = t.slots.(client) in
+    if rs != idle then oldest := Float.max !oldest (now -. rs.first_sent)
+  done;
+  !oldest
+
 let config t = t.config
 let now t = Engine.now t.engine
 
@@ -148,7 +167,8 @@ let submit_next t client =
       }
     in
     arm_deadline t rs;
-    Hashtbl.replace t.outstanding (client, rid) rs;
+    t.slots.(client) <- rs;
+    t.live <- t.live + 1;
     if Poe_obs.Trace.enabled () then
       Poe_obs.Trace.instant ~ts:req.Message.submitted ~node:(node_id t)
         ~cat:"client"
@@ -166,12 +186,14 @@ let submit_next t client =
 
 (* Responses lists are at most n long, so quorum counting scans them
    directly — this runs once per delivered response, so it must not
-   allocate. *)
-let count_matching rs ~seqno ~digest =
-  List.fold_left
-    (fun acc (_, (_, s, d)) ->
-      if s = seqno && String.equal d digest then acc + 1 else acc)
-    0 rs.responses
+   allocate (a closure over [seqno] and [digest] would). *)
+let rec count_from acc ~seqno ~digest = function
+  | [] -> acc
+  | (_, (_, s, d)) :: rest ->
+      let acc = if s = seqno && String.equal d digest then acc + 1 else acc in
+      count_from acc ~seqno ~digest rest
+
+let count_matching rs ~seqno ~digest = count_from 0 ~seqno ~digest rs.responses
 
 let matching_responses rs =
   List.fold_left
@@ -181,9 +203,11 @@ let matching_responses rs =
     (0, None) rs.responses
 
 let complete t rs =
-  let key = (rs.req.Message.client, rs.req.Message.rid) in
-  if Hashtbl.mem t.outstanding key then begin
-    Hashtbl.remove t.outstanding key;
+  let client = rs.req.Message.client in
+  if client >= 0 && client < Array.length t.slots && t.slots.(client) == rs
+  then begin
+    t.slots.(client) <- idle;
+    t.live <- t.live - 1;
     t.completed <- t.completed + 1;
     Poe_prof.Prof.(bump ix_replies_completed);
     let now = Engine.now t.engine in
@@ -253,13 +277,15 @@ let handle_timeout t rs =
 
 let sweep_interval t = Float.max 0.05 (t.config.Config.request_timeout /. 6.0)
 
+(* Expired requests are handled in client order. A timeout hook may
+   complete the request it is handed; its client's next request gets a
+   fresh deadline, so no request is handled twice in one sweep. *)
 let rec timeout_sweep t =
   let now = Engine.now t.engine in
-  let expired = ref [] in
-  Hashtbl.iter
-    (fun _ rs -> if now >= rs.next_deadline then expired := rs :: !expired)
-    t.outstanding;
-  List.iter (fun rs -> handle_timeout t rs) !expired;
+  for client = 0 to Array.length t.slots - 1 do
+    let rs = t.slots.(client) in
+    if rs != idle && now >= rs.next_deadline then handle_timeout t rs
+  done;
   if not t.paused then
     Engine.schedule t.engine ~delay:(sweep_interval t) (fun () ->
         timeout_sweep t)
@@ -275,16 +301,22 @@ let start t =
 
 let handle_response t ~view ~seqno ~replica ~result_digest acks =
   if view > t.believed_view then t.believed_view <- view;
+  (* One witness per message, shared by every request it acks. *)
+  let witness = (view, seqno, result_digest) in
   List.iter
     (fun (client, rid) ->
-      match Hashtbl.find_opt t.outstanding (client, rid) with
-      | None -> () (* already completed or unknown *)
-      | Some rs ->
-          if not (List.mem_assoc replica rs.responses) then begin
-            rs.responses <- (replica, (view, seqno, result_digest)) :: rs.responses;
-            if count_matching rs ~seqno ~digest:result_digest >= t.hooks.quorum
-            then complete t rs
-          end)
+      (* An ack for an unknown client or a request no longer outstanding
+         (already completed, or a stale rid) is ignored. *)
+      if client >= 0 && client < Array.length t.slots then begin
+        let rs = t.slots.(client) in
+        if rs != idle && rs.req.Message.rid = rid
+           && not (List.mem_assoc replica rs.responses)
+        then begin
+          rs.responses <- (replica, witness) :: rs.responses;
+          if count_matching rs ~seqno ~digest:result_digest >= t.hooks.quorum
+          then complete t rs
+        end
+      end)
     acks
 
 let on_network_message t ~src msg =

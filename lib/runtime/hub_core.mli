@@ -69,6 +69,8 @@ val node_id : t -> int
 val believed_view : t -> int
 
 val outstanding : t -> int
+(** Requests sent and not yet completed; O(1). Each logical client has at
+    most one. *)
 
 val completed : t -> int
 (** Requests completed at this hub (all time). *)
@@ -77,7 +79,8 @@ val oldest_outstanding_age : t -> now:float -> float
 (** Seconds since the oldest still-unanswered request was first sent
     (0 with nothing outstanding) — the heartbeat sampler's
     starvation indicator: it keeps growing exactly when some client is
-    stuck behind a stalled cluster. O(outstanding); heartbeat-rate only. *)
+    stuck behind a stalled cluster. O(clients per hub); heartbeat-rate
+    only. *)
 
 (** {1 For protocol hooks} *)
 

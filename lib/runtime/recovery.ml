@@ -287,9 +287,13 @@ let on_message t ~src msg =
 
 let note_executed t ~seqno ~(batch : Message.batch) =
   t.suspect_round <- 0;
-  Array.iter
-    (fun r -> Hashtbl.remove t.watched (Message.request_key r))
-    batch.Message.reqs;
+  (* Nothing is watched unless clients have timed out and forwarded:
+     skip hashing every request key of every batch against an empty
+     table. *)
+  if Hashtbl.length t.watched > 0 then
+    Array.iter
+      (fun r -> Hashtbl.remove t.watched (Message.request_key r))
+      batch.Message.reqs;
   if (seqno + 1) mod (cfg t).Config.checkpoint_period = 0 then
     broadcast_vote t ~seqno
 

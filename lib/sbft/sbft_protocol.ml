@@ -411,30 +411,8 @@ let executor_respond t ~seqno ~result =
              aggregation"), plus the broadcast back to all replicas. *)
           Ctx.broadcast_replicas t.ctx ~bytes:Message.Wire.vote
             (S_exec_proof { seqno; result });
-          let config = cfg t in
-          let by_hub = Hashtbl.create 16 in
-          Array.iter
-            (fun (r : Message.request) ->
-              let acks =
-                Option.value (Hashtbl.find_opt by_hub r.Message.hub) ~default:[]
-              in
-              Hashtbl.replace by_hub r.Message.hub
-                ((r.Message.client, r.Message.rid) :: acks))
-            batch.Message.reqs;
-          Hashtbl.iter
-            (fun hub acks ->
-              Ctx.send_hub t.ctx ~hub
-                ~bytes:(Message.Wire.response config ~per_reqs:(List.length acks))
-                (Message.Exec_response
-                   {
-                     view = t.vc.view;
-                     seqno;
-                     replica = Ctx.id t.ctx;
-                     batch_digest = "";
-                     result_digest = result;
-                     acks;
-                   }))
-            by_hub;
+          Exec.send_responses t.exec ~view:t.vc.view ~seqno ~batch
+            ~result_digest:result;
           Array.iter
             (fun (r : Message.request) ->
               Hashtbl.replace t.reply_cache
@@ -653,12 +631,12 @@ let adopt t ~new_view vcs =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax
   in
   t.next_seqno <- max_reproposed + 1;
-  Hashtbl.iter
-    (fun key _ -> if slot_key_view key < new_view then Hashtbl.remove t.slots key)
-    (Hashtbl.copy t.slots);
-  Hashtbl.iter
-    (fun key _ -> if slot_key_view key < new_view then Hashtbl.remove t.coll key)
-    (Hashtbl.copy t.coll);
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_view key < new_view then None else Some v)
+    t.slots;
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_view key < new_view then None else Some v)
+    t.coll;
   (* Committed-but-unexecuted offers of the dead view are parked in the
      engine behind gaps that will never fill there; the new view re-runs
      consensus for them, so drop the stale offers. *)
@@ -832,14 +810,12 @@ let create_replica ctx =
       ~active:(fun () -> not (in_view_change t))
       ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
       ~on_stable:(fun seqno ->
-        Hashtbl.iter
-          (fun key _ ->
-            if slot_key_seqno key <= seqno then Hashtbl.remove t.slots key)
-          (Hashtbl.copy t.slots);
-        Hashtbl.iter
-          (fun key _ ->
-            if slot_key_seqno key <= seqno then Hashtbl.remove t.coll key)
-          (Hashtbl.copy t.coll);
+        Hashtbl.filter_map_inplace
+          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+          t.slots;
+        Hashtbl.filter_map_inplace
+          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+          t.coll;
         (* The response machinery lags one checkpoint period behind the
            stable point: a period-boundary seqno broadcasts its
            checkpoint votes and its execution shares at the same
@@ -847,15 +823,15 @@ let create_replica ctx =
            the slot would otherwise be collected before the executor
            can aggregate and answer the clients. *)
         let keep = seqno - (Ctx.config ctx).Config.checkpoint_period in
-        Hashtbl.iter
-          (fun s _ -> if s <= keep then Hashtbl.remove t.exec_proof_sent s)
-          (Hashtbl.copy t.exec_proof_sent);
-        Hashtbl.iter
-          (fun s _ -> if s <= keep then Hashtbl.remove t.exec_results s)
-          (Hashtbl.copy t.exec_results);
-        Hashtbl.iter
-          (fun s _ -> if s <= keep then Hashtbl.remove t.exec_shares s)
-          (Hashtbl.copy t.exec_shares))
+        Hashtbl.filter_map_inplace
+          (fun s v -> if s <= keep then None else Some v)
+          t.exec_proof_sent;
+        Hashtbl.filter_map_inplace
+          (fun s v -> if s <= keep then None else Some v)
+          t.exec_results;
+        Hashtbl.filter_map_inplace
+          (fun s v -> if s <= keep then None else Some v)
+          t.exec_shares)
       ();
   t
 

@@ -1,6 +1,7 @@
 (* Tests for the replica runtime: configuration invariants, the cost model,
    CPU-lane queueing, measurement windows, wire sizes, the batching
-   pipeline, and the in-order execution engine (including rollback). *)
+   pipeline, the in-order execution engine (including rollback and its
+   reply fan-out), and the client hub's request table. *)
 
 module R = Poe_runtime
 module Config = R.Config
@@ -210,7 +211,7 @@ let test_batch_of_requests () =
 (* ------------------------------------------------------------------ *)
 (* Test fixture: a single replica context on a live engine              *)
 
-let make_ctx ?(materialize = false) ?(config = None) () =
+let make_ctx_net ?(materialize = false) ?(config = None) () =
   let cfg =
     match config with
     | Some c -> c
@@ -228,6 +229,10 @@ let make_ctx ?(materialize = false) ?(config = None) () =
     Ctx.create ~id:0 ~config:cfg ~cost:Cost.default ~engine ~net ~server ~stats
       ~rng:(Rng.create 1) ()
   in
+  (engine, net, ctx)
+
+let make_ctx ?materialize ?config () =
+  let engine, _, ctx = make_ctx_net ?materialize ?config () in
   (engine, ctx)
 
 (* ------------------------------------------------------------------ *)
@@ -475,6 +480,245 @@ let test_exec_force_adopt_gap () =
       Exec.force_adopt exec ~seqno:5 ~view:0 ~batch:(batch_of 5)
         ~proof:Block.No_proof)
 
+(* One INFORM per client machine a batch names, sized by that machine's
+   acks; the engine's per-hub buckets start empty for every batch,
+   rollback or not. *)
+let test_exec_reply_fan_out () =
+  let engine, net, ctx = make_ctx_net () in
+  let cfg = Ctx.config ctx in
+  let inbox = ref [] in
+  for hub = 0 to cfg.Config.n_hubs - 1 do
+    Network.set_handler net (cfg.Config.n + hub) (fun ~src:_ ~bytes msg ->
+        match msg with
+        | Message.Exec_response { seqno; acks; _ } ->
+            inbox := (seqno, hub, List.sort compare acks, bytes) :: !inbox
+        | _ -> ())
+  done;
+  let exec = Exec.create ~ctx () in
+  let batch rid hubs_clients =
+    Message.batch_of_requests ~materialize:false
+      (List.map
+         (fun (hub, client) ->
+           { Message.hub; client; rid; op = None; submitted = 0.0 })
+         hubs_clients)
+  in
+  let expect seqno rid per_hub =
+    List.map
+      (fun (hub, clients) ->
+        ( seqno,
+          hub,
+          List.map (fun c -> (c, rid)) clients,
+          Message.Wire.response cfg ~per_reqs:(List.length clients) ))
+      per_hub
+  in
+  let run_batch ~seqno b =
+    inbox := [];
+    Exec.offer exec ~seqno ~view:0 ~batch:b ~proof:Block.No_proof;
+    Engine.run ~until:(Engine.now engine +. 1.0) engine;
+    (* Larger messages take longer on the wire: compare by hub. *)
+    List.sort compare !inbox
+  in
+  let check name expected got =
+    Alcotest.(check (list (pair (pair int int) (pair (list (pair int int)) int))))
+      name
+      (List.map (fun (s, h, a, b) -> ((s, h), (a, b))) expected)
+      (List.map (fun (s, h, a, b) -> ((s, h), (a, b))) got)
+  in
+  check "three hubs, three responses"
+    (expect 0 0 [ (1, [ 0; 1 ]); (3, [ 0; 2 ]); (5, [ 4 ]) ])
+    (run_batch ~seqno:0
+       (batch 0 [ (3, 0); (1, 0); (3, 2); (5, 4); (1, 1) ]));
+  check "no acks left over" (expect 1 1 [ (0, [ 7 ]); (2, [ 8 ]) ])
+    (run_batch ~seqno:1 (batch 1 [ (0, 7); (2, 8) ]));
+  ignore (Exec.rollback_to exec ~seqno:0);
+  Alcotest.(check int) "rolled back" 0 (Exec.k_exec exec);
+  check "none left over after rollback" (expect 1 2 [ (1, [ 3 ]); (4, [ 1 ]) ])
+    (run_batch ~seqno:1 (batch 2 [ (4, 1); (1, 3) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Client hub                                                          *)
+
+module Hub = R.Hub_core
+
+let make_hub ~clients ~quorum ~on_timeout =
+  let config =
+    Config.make ~n:4 ~n_hubs:1 ~clients_per_hub:clients ~request_timeout:0.3
+      ~client_bundle_delay:0.001 ()
+  in
+  let engine = Engine.create ~seed:3 () in
+  let net =
+    Network.create ~engine ~n_nodes:5 ~latency:(Latency.Constant 0.001) ()
+  in
+  let sent = ref [] in
+  for id = 0 to 3 do
+    Network.set_handler net id (fun ~src:_ ~bytes:_ msg ->
+        match msg with
+        | Message.Client_request_bundle reqs -> sent := reqs @ !sent
+        | _ -> ())
+  done;
+  let hooks =
+    { Hub.quorum; send_mode = Hub.To_primary; on_timeout; on_message = None }
+  in
+  let hub =
+    Hub.create ~hub:0 ~config ~engine ~net
+      ~stats:(Stats.create ~warmup:0.0 ~measure:100.0)
+      ~rng:(Rng.create 11) ~workload:None ~hooks ()
+  in
+  Hub.start hub;
+  Engine.run ~until:0.05 engine;
+  (engine, hub, List.rev !sent)
+
+let ack hub ~replica acks =
+  Hub.on_network_message hub ~src:replica
+    (Message.Exec_response
+       {
+         view = 0;
+         seqno = 0;
+         replica;
+         batch_digest = "d";
+         result_digest = "d";
+         acks;
+       })
+
+let test_hub_ignores_unknown_acks () =
+  let _, hub, _ = make_hub ~clients:3 ~quorum:1 ~on_timeout:None in
+  Alcotest.(check int) "three outstanding" 3 (Hub.outstanding hub);
+  ack hub ~replica:0 [ (-1, 0); (3, 0); (max_int, 0); (0, 1); (1, -1) ];
+  Alcotest.(check int) "still outstanding" 3 (Hub.outstanding hub);
+  Alcotest.(check int) "none completed" 0 (Hub.completed hub);
+  (* An idle client's empty slot carries rid -1: an ack naming it must
+     not complete anything either. *)
+  Hub.pause hub;
+  ack hub ~replica:0 [ (0, 0) ];
+  Alcotest.(check int) "client 0 idle" 2 (Hub.outstanding hub);
+  ack hub ~replica:1 [ (0, -1); (0, 0) ];
+  Alcotest.(check int) "idle slot stays idle" 2 (Hub.outstanding hub);
+  Alcotest.(check int) "one completed" 1 (Hub.completed hub)
+
+type hub_step = Ack of int * int * int | Advance of int
+
+let print_hub_steps steps =
+  String.concat "; "
+    (List.map
+       (function
+         | Ack (c, d, r) -> Printf.sprintf "ack c%d rid%+d r%d" c d r
+         | Advance ms -> Printf.sprintf "advance %dms" ms)
+       steps)
+
+(* Acks for clients -1..4 of a 4-client hub (current rid, or one off) from
+   replicas 0-2, and clock advances that cross sweeps and deadlines. *)
+let hub_steps =
+  let open QCheck.Gen in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         ( 3,
+           map3
+             (fun c d r -> Ack (c, d, r))
+             (int_range (-1) 4) (int_range (-1) 1) (int_range 0 2) );
+         (1, map (fun ms -> Advance ms) (int_range 1 400));
+       ])
+
+(* The reference: per client, the outstanding rid, its first-sent time,
+   the replicas that acked it, and the deadline its last timeout armed. *)
+type model_req = {
+  m_rid : int;
+  m_first_sent : float;
+  mutable m_acked : int list;
+  mutable m_retries : int;
+  mutable m_deadline : float option;
+}
+
+let hub_model_qcheck =
+  let clients = 4 and quorum = 2 and timeout = 0.3 in
+  (* Hub_core's sweep period, and the largest first deadline its jitter
+     can arm. *)
+  let interval = Float.max 0.05 (timeout /. 6.0) in
+  let first_deadline_max m = m.m_first_sent +. (1.25 *. timeout) in
+  let fresh rid first_sent =
+    { m_rid = rid; m_first_sent = first_sent; m_acked = []; m_retries = 0;
+      m_deadline = None }
+  in
+  QCheck.Test.make ~name:"hub matches a reference closed loop" ~count:300
+    (QCheck.make ~print:print_hub_steps hub_steps) (fun steps ->
+      (* (sweep time, client, rid, retries, re-armed deadline) per timeout *)
+      let handled = ref [] in
+      let on_timeout h (rs : Hub.request_state) =
+        handled :=
+          ( Hub.now h, rs.req.Message.client, rs.req.Message.rid, rs.retries,
+            rs.next_deadline )
+          :: !handled
+      in
+      let engine, hub, sent =
+        make_hub ~clients ~quorum ~on_timeout:(Some on_timeout)
+      in
+      let model = Array.make clients (fresh 0 0.0) in
+      List.iter
+        (fun (r : Message.request) -> model.(r.client) <- fresh r.rid r.submitted)
+        sent;
+      let completed = ref 0 in
+      let ok = ref (List.length sent = clients) in
+      let expect b = if not b then ok := false in
+      let check_state () =
+        let now = Engine.now engine in
+        expect (Hub.outstanding hub = clients);
+        expect (Hub.completed hub = !completed);
+        let oldest =
+          Array.fold_left
+            (fun acc m -> Float.max acc (now -. m.m_first_sent))
+            0.0 model
+        in
+        expect (Hub.oldest_outstanding_age hub ~now = oldest)
+      in
+      let apply = function
+        | Ack (c, d, replica) ->
+            let valid = c >= 0 && c < clients in
+            let rid = if valid then model.(c).m_rid + d else d in
+            ack hub ~replica [ (c, rid) ];
+            if valid && d = 0 && not (List.mem replica model.(c).m_acked) then begin
+              let m = model.(c) in
+              m.m_acked <- replica :: m.m_acked;
+              if List.length m.m_acked >= quorum then begin
+                incr completed;
+                model.(c) <- fresh (m.m_rid + 1) (Engine.now engine)
+              end
+            end
+        | Advance ms ->
+            let until = Engine.now engine +. (float_of_int ms /. 1000.0) in
+            handled := [];
+            Engine.run ~until engine;
+            let seen = Hashtbl.create 8 in
+            List.iter
+              (fun (at, c, rid, retries, deadline) ->
+                let m = model.(c) in
+                (* the outstanding request, once per sweep, not early *)
+                expect (rid = m.m_rid);
+                expect (not (Hashtbl.mem seen (at, c)));
+                Hashtbl.replace seen (at, c) ();
+                (match m.m_deadline with
+                | Some d -> expect (at >= d)
+                | None -> expect (at >= m.m_first_sent +. timeout));
+                m.m_retries <- m.m_retries + 1;
+                expect (retries = m.m_retries);
+                m.m_deadline <- Some deadline)
+              (List.rev !handled);
+            (* Not missed: the last sweep ran after [until - interval], so
+               every request still unhandled has a later deadline. *)
+            Array.iter
+              (fun m ->
+                let d =
+                  Option.value m.m_deadline ~default:(first_deadline_max m)
+                in
+                expect (d > until -. interval -. 1e-9))
+              model
+      in
+      List.iter
+        (fun step ->
+          apply step;
+          check_state ())
+        steps;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Rid table                                                           *)
 
@@ -622,6 +866,12 @@ let () =
           Alcotest.test_case "force_adopt gap" `Quick test_exec_force_adopt_gap;
           Alcotest.test_case "rolled-back duplicate (materialized)" `Quick
             test_exec_rolled_back_duplicate;
+          Alcotest.test_case "one reply per hub, buckets emptied" `Quick
+            test_exec_reply_fan_out;
         ] );
+      ( "hub",
+        Alcotest.test_case "unknown and stale acks ignored" `Quick
+          test_hub_ignores_unknown_acks
+        :: List.map QCheck_alcotest.to_alcotest [ hub_model_qcheck ] );
       ("rid_table", List.map QCheck_alcotest.to_alcotest rid_table_qcheck);
     ]
