@@ -93,9 +93,7 @@ let check_local t ~now id ctx digests =
 
 let digest_table ctx =
   let tbl = Hashtbl.create 512 in
-  List.iter
-    (fun (s, d) -> Hashtbl.replace tbl s d)
-    (Ctx.executed_digests ctx);
+  Ctx.iter_executed ctx (Hashtbl.replace tbl);
   tbl
 
 (* Cross-replica agreement over [participants = (id, ctx, digests)].

@@ -16,7 +16,9 @@
     - {b ledger hash-chain validity}: every materialized replica's chain
       re-verifies (parent hashes, heights) — this includes paused and
       byzantine-flipped replicas, whose local ledger must stay
-      well-formed even while they misbehave on the wire.
+      well-formed even while they misbehave on the wire. The check walks
+      the retained suffix from the anchor at the stable checkpoint; the
+      anchor's hash binds the pruned prefix.
     - {b stable checkpoints never roll back}: once a replica reports a
       seqno stable, the digests at and below it are frozen; any later
       sample seeing one missing or rewritten is a violation. Snapshot

@@ -293,22 +293,24 @@ module Make (P : R.Protocol_intf.S) = struct
      entry. Linear in the total log length. *)
   let committed_prefix_agrees t =
     let first = Hashtbl.create 4096 in
-    let agrees log_ix log =
-      List.for_all
-        (fun (s, d) ->
-          match Hashtbl.find_opt first s with
-          | Some (d', owner) -> owner = log_ix || String.equal d d'
-          | None ->
-              Hashtbl.add first s (d, log_ix);
-              true)
-        log
+    let agrees log_ix ctx =
+      let exception Disagree in
+      match
+        Ctx.iter_executed ctx (fun s d ->
+            match Hashtbl.find_opt first s with
+            | Some (d', owner) ->
+                if not (owner = log_ix || String.equal d d') then
+                  raise Disagree
+            | None -> Hashtbl.add first s (d, log_ix))
+      with
+      | () -> true
+      | exception Disagree -> false
     in
     let rec walk i =
       i < 0
       ||
       let ctx = P.ctx t.replicas.(i) in
-      ((not (Ctx.alive ctx && Ctx.behavior ctx = Ctx.Honest))
-      || agrees i (Ctx.executed_digests ctx))
+      ((not (Ctx.alive ctx && Ctx.behavior ctx = Ctx.Honest)) || agrees i ctx)
       && walk (i - 1)
     in
     walk (Array.length t.replicas - 1)

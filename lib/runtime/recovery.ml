@@ -226,13 +226,18 @@ let on_state_request t ~src ~from_seqno =
   else begin
     (* The requester is behind our stable checkpoint: batches below it are
        garbage-collected, so ship the checkpoint itself — application rows
-       and ledger as of [stable] — plus the retained tail. *)
+       and ledger as of [stable] — plus the retained tail. The ledger is
+       charged from genesis to its last shipped block: the blocks below
+       the anchor live in the sender's storage, not in [blocks]. *)
     let rows, blocks = Ctx.checkpoint_snapshot t.ctx ~upto:stable in
     let entries = retained_entries t ~above:stable in
+    let ledger_blocks =
+      List.fold_left (fun _ (b : Poe_ledger.Block.t) -> b.height + 1) 0 blocks
+    in
     let bytes =
       Message.Wire.header
       + (List.length rows * 48)
-      + (List.length blocks * 96)
+      + (ledger_blocks * 96)
       + (List.length entries * entry_bytes)
     in
     Ctx.send_replica t.ctx ~dst:src ~bytes

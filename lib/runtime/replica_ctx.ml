@@ -6,6 +6,59 @@ module Undo_log = Poe_store.Undo_log
 module Chain = Poe_ledger.Chain
 module Block = Poe_ledger.Block
 
+(* The executed log: (seqno, digest) pairs in execution order, stored in
+   chunks of [chunk_size] that are allocated on first use and never
+   copied. Only the chunk directory (one pointer per chunk) grows. *)
+module Exec_log = struct
+  let chunk_size = 1024
+
+  type t = {
+    mutable seqnos : int array array;
+    mutable digests : string array array;
+    mutable len : int;
+  }
+
+  let create () = { seqnos = [||]; digests = [||]; len = 0 }
+
+  let clear t =
+    t.seqnos <- [||];
+    t.digests <- [||];
+    t.len <- 0
+
+  let push t seqno digest =
+    let c = t.len / chunk_size and i = t.len mod chunk_size in
+    if c = Array.length t.seqnos then begin
+      let grow dir = Array.append dir (Array.make (max 1 c) [||]) in
+      t.seqnos <- grow t.seqnos;
+      t.digests <- grow t.digests
+    end;
+    if Array.length t.seqnos.(c) = 0 then begin
+      t.seqnos.(c) <- Array.make chunk_size 0;
+      t.digests.(c) <- Array.make chunk_size ""
+    end;
+    t.seqnos.(c).(i) <- seqno;
+    t.digests.(c).(i) <- digest;
+    t.len <- t.len + 1
+
+  let seqno_at t k = t.seqnos.(k / chunk_size).(k mod chunk_size)
+  let digest_at t k = t.digests.(k / chunk_size).(k mod chunk_size)
+
+  (* Seqnos increase along the log, so dropping the entries above
+     [seqno] is a truncation from the end. *)
+  let truncate_above t seqno =
+    while t.len > 0 && seqno_at t (t.len - 1) > seqno do
+      t.len <- t.len - 1;
+      t.digests.(t.len / chunk_size).(t.len mod chunk_size) <- ""
+    done
+
+  let iter t f =
+    for k = 0 to t.len - 1 do
+      f (seqno_at t k) (digest_at t k)
+    done
+
+  let to_list t = List.init t.len (fun k -> (seqno_at t k, digest_at t k))
+end
+
 type behavior =
   | Honest
   | Silent
@@ -25,8 +78,7 @@ type t = {
   store : Kv_store.t option;
   undo : Undo_log.t option;
   chain : Chain.t option;
-  mutable executed : (int * string) list; (* (seqno, digest), newest first *)
-  mutable executed_count : int;
+  executed : Exec_log.t;
   threshold : (Poe_crypto.Threshold.scheme * Poe_crypto.Threshold.signer) option;
   mutable alive : bool;
   mutable behavior : behavior;
@@ -66,8 +118,7 @@ let create ~id ~config ~cost ~engine ~net ~server ~stats ~rng ?threshold () =
     undo;
     chain;
     threshold;
-    executed = [];
-    executed_count = 0;
+    executed = Exec_log.create ();
     alive = true;
     behavior = Honest;
     stable = -1;
@@ -191,8 +242,7 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
         Poe_crypto.Sha256.digest_list (batch.digest :: List.rev !results)
     | _ -> batch.digest
   in
-  t.executed <- (seqno, batch.digest) :: t.executed;
-  t.executed_count <- t.executed_count + 1;
+  Exec_log.push t.executed seqno batch.digest;
   (* At-most-once accounting: a request key whose live-execution count
      reaches 2 was applied twice without the first being rolled back.
      When a state machine is attached the dedup skip above makes that
@@ -219,35 +269,28 @@ let forget_exec_keys t ~above =
          Hashtbl.remove t.reqs_by_seqno s)
 
 let rollback_to t ~seqno =
-  t.executed <- List.filter (fun (s, _) -> s <= seqno) t.executed;
-  t.executed_count <- List.length t.executed;
+  Exec_log.truncate_above t.executed seqno;
   forget_exec_keys t ~above:seqno;
   match t.undo with
   | None -> 0
   | Some undo ->
       let reverted = Undo_log.rollback_to undo ~seqno in
-      (match t.chain with
-      | Some chain ->
-          (* Drop ledger blocks above the surviving seqno. *)
-          let keep_height =
-            Chain.blocks chain
-            |> List.filter (fun (b : Block.t) -> b.seqno <= seqno)
-            |> List.fold_left (fun acc (b : Block.t) -> max acc b.height) 0
-          in
-          ignore (Chain.rollback_to_height chain keep_height)
-      | None -> ());
+      Option.iter
+        (fun chain -> ignore (Chain.rollback_to_seqno chain seqno))
+        t.chain;
       reverted
 
 (* Rollback never crosses a stable checkpoint (the undo log below it is
    truncated, and the auditor checks it), so the requests of slots at or
-   below it are never decremented again: drop them. Their counts stay. *)
+   below it are never decremented again: drop them. Their counts stay.
+   For the same reason the ledger keeps only its suffix from the newest
+   block at or below the checkpoint, whose hash binds everything older. *)
 let stable_checkpoint t ~seqno =
   t.stable <- max t.stable seqno;
   List.iter (Hashtbl.remove t.reqs_by_seqno)
     (seqnos_where t (fun s -> s <= seqno));
-  match t.undo with
-  | None -> ()
-  | Some undo -> Undo_log.truncate undo ~upto:seqno
+  Option.iter (fun undo -> Undo_log.truncate undo ~upto:seqno) t.undo;
+  Option.iter (fun chain -> Chain.prune_below chain ~seqno) t.chain
 
 let checkpoint_snapshot t ~upto =
   match t.undo with
@@ -259,14 +302,12 @@ let checkpoint_snapshot t ~upto =
         | None -> []
         | Some chain ->
             Chain.blocks chain
-            |> List.filter (fun (b : Block.t) ->
-                   b.height = 0 || b.seqno <= upto)
+            |> List.filter (fun (b : Block.t) -> b.seqno <= upto)
       in
       (rows, blocks)
 
 let install_snapshot t ~upto ~rows ~blocks =
-  t.executed <- [];
-  t.executed_count <- 0;
+  Exec_log.clear t.executed;
   (* The transferred checkpoint replaces all bookkeeping: execution history
      below [upto] is no longer locally known, so the dedup tables restart
      (the auditor re-baselines on [snapshot_gen]). *)
@@ -292,9 +333,11 @@ let threshold t = t.threshold
 let store t = t.store
 let chain t = t.chain
 
-let executed_count t = t.executed_count
+let executed_count t = t.executed.Exec_log.len
 
-let executed_digests t = List.rev t.executed
+let executed_digests t = Exec_log.to_list t.executed
+
+let iter_executed t f = Exec_log.iter t.executed f
 
 let stable_seqno t = t.stable
 let snapshot_generation t = t.snapshot_gen

@@ -127,13 +127,15 @@ val rollback_to : t -> seqno:int -> int
     No-op (returning 0) in cost-only runs. *)
 
 val stable_checkpoint : t -> seqno:int -> unit
-(** Garbage-collect undo information up to and including [seqno]. *)
+(** Garbage-collect undo information up to and including [seqno], and
+    prune the ledger to its anchor there ({!Poe_ledger.Chain.prune_below}). *)
 
 val checkpoint_snapshot :
   t -> upto:int -> (string * string) list * Poe_ledger.Block.t list
-(** The application rows and ledger blocks as of the stable checkpoint
-    [upto] (speculative writes above it reverted on a clone) — what a
-    state-snapshot transfer ships. Empty lists in cost-only runs. *)
+(** The application rows and the retained ledger blocks as of the stable
+    checkpoint [upto], anchor first (speculative writes above it reverted
+    on a clone) — what a state-snapshot transfer ships. Empty lists in
+    cost-only runs. *)
 
 val install_snapshot :
   t -> upto:int -> rows:(string * string) list ->
@@ -156,8 +158,13 @@ val executed_count : t -> int
 
 val executed_digests : t -> (int * string) list
 (** [(seqno, batch_digest)] of currently-executed (non-rolled-back)
-    batches, oldest first; tracked in both modes, used by tests to check
-    agreement across replicas. *)
+    batches, oldest first: the full history since creation or the last
+    installed snapshot, which the ledger prune does not touch. Tracked in
+    both modes, used by tests to check agreement across replicas. *)
+
+val iter_executed : t -> (int -> string -> unit) -> unit
+(** Calls the function on the seqno and digest of every entry of
+    {!executed_digests}, in the same order, without building the list. *)
 
 (** {1 Audit observables}
 

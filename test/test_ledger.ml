@@ -159,8 +159,167 @@ let test_same_batches_different_proofs () =
   Alcotest.(check bool) "a verifies" true (Chain.verify a = Ok ());
   Alcotest.(check bool) "b verifies" true (Chain.verify b = Ok ())
 
+(* A chain pruned to an anchor keeps working on its retained suffix, and
+   the retained blocks can be shipped and rebuilt anchor first. *)
+let test_anchored_chain () =
+  let chain = Chain.create ~initial_primary:0 in
+  for k = 0 to 19 do
+    ignore
+      (Chain.append chain ~seqno:k ~view:0
+         ~batch_digest:(digest_of (string_of_int k))
+         ~proof:Block.No_proof)
+  done;
+  let head_hash = Block.hash (Chain.head chain) in
+  Chain.prune_below chain ~seqno:9;
+  Alcotest.(check int) "retained" 11 (Chain.length chain);
+  Alcotest.(check string) "same head" head_hash (Block.hash (Chain.head chain));
+  Alcotest.(check bool) "verifies" true (Chain.verify chain = Ok ());
+  let blocks = Chain.blocks chain in
+  Alcotest.(check int) "anchor seqno" 9 (List.hd blocks).Block.seqno;
+  Alcotest.(check bool) "below anchor gone" true
+    (Chain.find_by_seqno chain 8 = None && Chain.nth chain 9 = None);
+  Chain.prune_below chain ~seqno:3;
+  Alcotest.(check int) "older prune point is a no-op" 11 (Chain.length chain);
+  Alcotest.check_raises "cannot roll below the anchor"
+    (Invalid_argument "Chain.rollback_to_height") (fun () ->
+      ignore (Chain.rollback_to_height chain 9));
+  Alcotest.check_raises "cannot roll below the anchor's seqno"
+    (Invalid_argument "Chain.rollback_to_seqno") (fun () ->
+      ignore (Chain.rollback_to_seqno chain 8));
+  Alcotest.(check int) "failed rollbacks drop nothing" 11 (Chain.length chain);
+  Alcotest.(check int) "rollback to the anchor" 10
+    (Chain.rollback_to_seqno chain 9);
+  Alcotest.(check int) "anchor is the head" 9 (Chain.head chain).Block.seqno;
+  (* Shipping and rebuilding an anchored list. *)
+  let rebuilt =
+    match Chain.of_blocks blocks with
+    | Ok c -> c
+    | Error e -> Alcotest.fail ("anchored list rejected: " ^ e)
+  in
+  Alcotest.(check string) "rebuilt head" head_hash
+    (Block.hash (Chain.head rebuilt));
+  let target = Chain.create ~initial_primary:0 in
+  Alcotest.(check bool) "install accepts an anchor" true
+    (Chain.install target blocks = Ok ());
+  Alcotest.(check string) "installed head" head_hash
+    (Block.hash (Chain.head target));
+  let tamper height =
+    List.map
+      (fun (b : Block.t) ->
+        if b.height = height then { b with Block.batch_digest = digest_of "forged" }
+        else b)
+      blocks
+  in
+  Alcotest.(check bool) "tampered middle link" true
+    (Chain.of_blocks (tamper 15) = Error "broken hash link at height 16");
+  Alcotest.(check bool) "tampered anchor" true
+    (Chain.of_blocks (tamper 10) = Error "broken hash link at height 11");
+  Alcotest.(check bool) "install rejects and keeps the chain" true
+    (Chain.install target (tamper 15) <> Ok ()
+    && String.equal head_hash (Block.hash (Chain.head target)));
+  Alcotest.(check bool) "empty list" true (Result.is_error (Chain.of_blocks []))
+
+type ledger_op = Append of int | Rollback_height of int | Rollback_seqno of int | Prune of int
+
+let ledger_op_gen =
+  QCheck.Gen.(
+    map2
+      (fun kind k ->
+        match kind with
+        | 0 -> Append k
+        | 1 -> Rollback_height k
+        | 2 -> Rollback_seqno k
+        | _ -> Prune k)
+      (int_bound 3) (int_bound 6))
+
+let pp_ledger_op = function
+  | Append k -> Printf.sprintf "append %d" k
+  | Rollback_height k -> Printf.sprintf "rollback_height -%d" k
+  | Rollback_seqno k -> Printf.sprintf "rollback_seqno -%d" k
+  | Prune k -> Printf.sprintf "prune anchor+%d" k
+
+(* Random append/rollback/prune scripts against an unpruned twin: the
+   pruned chain must agree with the twin on its head and every retained
+   block, verify, and refuse rollbacks below its anchor without change. *)
+let prune_model =
+  QCheck.Test.make ~name:"pruned chain agrees with an unpruned twin"
+    ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list pp_ledger_op)
+       QCheck.Gen.(list_size (int_bound 60) ledger_op_gen))
+    (fun script ->
+      let pruned = Chain.create ~initial_primary:0 in
+      let twin = Chain.create ~initial_primary:0 in
+      let fresh = ref 0 in
+      let anchor () = List.hd (Chain.blocks pruned) in
+      let refused f =
+        let before = Chain.length pruned in
+        (match f () with
+        | _ -> QCheck.Test.fail_report "rollback below the anchor accepted"
+        | exception Invalid_argument _ -> ());
+        Chain.length pruned = before
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Append k ->
+                for _ = 0 to k do
+                  let seqno = (Chain.head pruned).Block.seqno + 1 in
+                  incr fresh;
+                  let batch_digest = digest_of (string_of_int !fresh) in
+                  ignore
+                    (Chain.append pruned ~seqno ~view:0 ~batch_digest
+                       ~proof:Block.No_proof);
+                  ignore
+                    (Chain.append twin ~seqno ~view:0 ~batch_digest
+                       ~proof:Block.No_proof)
+                done;
+                true
+            | Rollback_height k ->
+                let height = (Chain.head pruned).Block.height - k in
+                if height < (anchor ()).height then
+                  refused (fun () -> Chain.rollback_to_height pruned height)
+                else
+                  Chain.rollback_to_height pruned height
+                  = Chain.rollback_to_height twin height
+            | Rollback_seqno k ->
+                let seqno = (Chain.head pruned).Block.seqno - k in
+                if seqno < (anchor ()).seqno then
+                  refused (fun () -> Chain.rollback_to_seqno pruned seqno)
+                else
+                  Chain.rollback_to_seqno pruned seqno
+                  = Chain.rollback_to_seqno twin seqno
+            | Prune k ->
+                let seqno = (anchor ()).seqno + k in
+                Chain.prune_below pruned ~seqno;
+                let newest_at_or_below =
+                  List.fold_left
+                    (fun acc (b : Block.t) -> if b.seqno <= seqno then b else acc)
+                    (List.hd (Chain.blocks twin)) (Chain.blocks twin)
+                in
+                (anchor ()).height = newest_at_or_below.height
+          in
+          ok
+          && String.equal
+               (Block.hash (Chain.head pruned))
+               (Block.hash (Chain.head twin))
+          && Chain.verify pruned = Ok ()
+          && List.for_all
+               (fun (b : Block.t) ->
+                 let same = function
+                   | Some b' -> String.equal (Block.hash b) (Block.hash b')
+                   | None -> false
+                 in
+                 same (Chain.find_by_seqno twin b.seqno)
+                 && same (Chain.find_by_seqno pruned b.seqno)
+                 && same (Chain.nth pruned b.height))
+               (Chain.blocks pruned))
+        script)
+
 let chain_qcheck =
   [
+    prune_model;
     QCheck.Test.make ~name:"chains verify after arbitrary append/rollback"
       ~count:100
       QCheck.(list (pair bool (int_bound 5)))
@@ -203,6 +362,7 @@ let () =
           Alcotest.test_case "find by seqno" `Quick test_chain_find_by_seqno;
           Alcotest.test_case "same batches, different proofs" `Quick
             test_same_batches_different_proofs;
+          Alcotest.test_case "anchored chain" `Quick test_anchored_chain;
         ]
         @ List.map QCheck_alcotest.to_alcotest chain_qcheck );
     ]

@@ -240,6 +240,32 @@ let test_checkpoint_gc_after_failover () =
       end)
     c.C.replicas
 
+(* Each stable checkpoint prunes the ledger to its anchor, so at any
+   horizon a replica retains only the blocks from its stable point to its
+   head, while the executed log keeps the whole history. *)
+let test_ledger_bounded () =
+  let config = default_config ~scheme:Config.Auth_threshold () in
+  List.iter
+    (fun measure ->
+      let c = build ~measure config in
+      C.run c;
+      check_chains_verify c;
+      Array.iteri
+        (fun i r ->
+          let ctx = P.ctx r in
+          let retained = Chain.length (Option.get (Ctx.chain ctx)) in
+          let bound = P.k_exec r - P.stable_seqno r + 2 in
+          Alcotest.(check bool)
+            (Printf.sprintf "measure %.1f, replica %d: %d retained blocks <= %d"
+               measure i retained bound)
+            true
+            (retained <= bound && P.k_exec r > 4 * bound);
+          match Ctx.executed_digests ctx with
+          | (0, _) :: _ -> ()
+          | _ -> Alcotest.fail "executed log lost its start")
+        c.C.replicas)
+    [ 1.0; 2.0 ]
+
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
 
@@ -294,6 +320,8 @@ let () =
           Alcotest.test_case "gc bounded" `Quick test_checkpoint_gc;
           Alcotest.test_case "gc bounded after TS failover" `Quick
             test_checkpoint_gc_after_failover;
+          Alcotest.test_case "ledger bounded at the stable checkpoint" `Quick
+            test_ledger_bounded;
         ] );
       ("determinism", [ Alcotest.test_case "replayable" `Quick test_deterministic_runs ]);
     ]

@@ -140,8 +140,17 @@ let test_lagging_replica_incremental_transfer () =
 let test_snapshot_transfer_materialized () =
   let fx = make_fixture ~materialize:true () in
   Array.iter Recovery.start fx.recoveries;
+  (* Record every snapshot reaching the straggler with its wire size. *)
+  let snapshots = ref [] in
+  Network.set_handler fx.net 3 (fun ~src ~bytes msg ->
+      (match msg with
+      | Message.State_snapshot { upto; rows; blocks; entries } ->
+          snapshots := (bytes, upto, rows, blocks, entries) :: !snapshots
+      | _ -> ());
+      ignore (Recovery.on_message fx.recoveries.(3) ~src msg));
   (* Healthy replicas execute 12 materialized batches (mutating real rows),
-     checkpoint at 3, 7, 11 and GC. The straggler is below their stable
+     checkpoint at 3, 7, 11 and GC while the straggler hears nothing. Once
+     its links heal, the votes of 4 more batches put it below their stable
      point, so catching up requires the snapshot path; afterwards its rows
      must equal theirs. *)
   let op k = Poe_store.Kv_store.Update ("user1", Printf.sprintf "gen-%d" k) in
@@ -149,17 +158,26 @@ let test_snapshot_transfer_materialized () =
     Message.batch_of_requests ~materialize:true
       [ { Message.hub = 0; client = 0; rid = k; op = Some (op k); submitted = 0.0 } ]
   in
-  for id = 0 to 2 do
-    for k = 0 to 11 do
-      Exec.offer fx.execs.(id) ~seqno:k ~view:0 ~batch:(mat_batch k)
-        ~proof:Block.No_proof
+  let execute ~from ~upto =
+    for id = 0 to 2 do
+      for k = from to upto do
+        Exec.offer fx.execs.(id) ~seqno:k ~view:0 ~batch:(mat_batch k)
+          ~proof:Block.No_proof
+      done;
+      Engine.run ~until:(Engine.now fx.engine +. 0.2) fx.engine;
+      for k = from to upto do
+        Recovery.note_executed fx.recoveries.(id) ~seqno:k ~batch:(mat_batch k)
+      done
     done;
-    Engine.run ~until:(Engine.now fx.engine +. 0.2) fx.engine;
-    for k = 0 to 11 do
-      Recovery.note_executed fx.recoveries.(id) ~seqno:k ~batch:(mat_batch k)
-    done
+    Engine.run ~until:(Engine.now fx.engine +. 2.0) fx.engine
+  in
+  for id = 0 to 2 do
+    Network.block_link fx.net ~src:id ~dst:3
   done;
-  Engine.run ~until:(Engine.now fx.engine +. 2.0) fx.engine;
+  execute ~from:0 ~upto:11;
+  Alcotest.(check int) "straggler heard nothing" (-1) (Exec.k_exec fx.execs.(3));
+  Network.heal_partitions fx.net;
+  execute ~from:12 ~upto:15;
   Alcotest.(check bool) "healthy replicas stabilized past 3" true
     (Recovery.stable fx.recoveries.(0) >= 3);
   Alcotest.(check bool)
@@ -168,7 +186,28 @@ let test_snapshot_transfer_materialized () =
     (Exec.k_exec fx.execs.(3) >= Recovery.stable fx.recoveries.(0));
   let row id = Poe_store.Kv_store.get (Option.get (Ctx.store fx.ctxs.(id))) "user1" in
   if Exec.k_exec fx.execs.(3) = Exec.k_exec fx.execs.(0) then
-    Alcotest.(check (option string)) "rows equal after snapshot" (row 0) (row 3)
+    Alcotest.(check (option string)) "rows equal after snapshot" (row 0) (row 3);
+  (* The senders' ledgers are pruned to an anchor at their stable point,
+     but a snapshot is still charged the full ledger: genesis plus one
+     block per seqno up to [upto]. *)
+  Alcotest.(check bool) "a snapshot arrived" true (!snapshots <> []);
+  List.iter
+    (fun (bytes, upto, rows, blocks, entries) ->
+      Alcotest.(check bool) "shipped ledger starts at an anchor" true
+        ((List.hd blocks).Block.height > 0);
+      Alcotest.(check int) "snapshot wire bytes"
+        (Message.Wire.header + (List.length rows * 48) + ((upto + 2) * 96)
+        + (List.length entries * (Message.Wire.per_txn + 64)))
+        bytes)
+    !snapshots;
+  let chain = Option.get (Ctx.chain fx.ctxs.(3)) in
+  Alcotest.(check bool) "straggler's chain verifies" true
+    (Poe_ledger.Chain.verify chain = Ok ());
+  let stable = Ctx.stable_seqno fx.ctxs.(3) in
+  let at_stable id = Ctx.chain_block_hash fx.ctxs.(id) ~seqno:stable in
+  Alcotest.(check bool) "straggler has its stable block" true (at_stable 3 <> None);
+  Alcotest.(check (option string)) "stable block hash equals a healthy replica's"
+    (at_stable 0) (at_stable 3)
 
 (* The suspicion backoff: consecutive suspicions with no execution in
    between double the watch deadline (2^min(round, 6) x view_timeout), so

@@ -720,6 +720,73 @@ let hub_model_qcheck =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Executed log                                                        *)
+
+type log_op = Execute of int | Rollback of int | Snapshot of int
+
+let print_log_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Execute k -> Printf.sprintf "execute %d" k
+         | Rollback k -> Printf.sprintf "rollback -%d" k
+         | Snapshot k -> Printf.sprintf "snapshot +%d" k)
+       ops)
+
+(* Every script starts with 3000 executions, so the log spans several
+   1024-entry chunks before rollbacks cut back across their boundaries. *)
+let log_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Execute k) (int_range 1 1500));
+        (3, map (fun k -> Rollback k) (int_bound 2100));
+        (1, map (fun k -> Snapshot k) (int_bound 50));
+      ]
+  in
+  map (fun ops -> Execute 3000 :: ops) (list_size (int_bound 10) op)
+
+(* The executed log against a newest-first list of (seqno, digest). *)
+let executed_log_qcheck =
+  QCheck.Test.make ~name:"executed log matches a list" ~count:40
+    (QCheck.make ~print:print_log_ops log_ops) (fun ops ->
+      let _, ctx = make_ctx () in
+      let model = ref [] and next = ref 0 in
+      let agrees () =
+        let expected = List.rev !model in
+        let iterated = ref [] in
+        Ctx.iter_executed ctx (fun s d -> iterated := (s, d) :: !iterated);
+        Ctx.executed_digests ctx = expected
+        && List.rev !iterated = expected
+        && Ctx.executed_count ctx = List.length expected
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Execute k ->
+              for _ = 1 to k do
+                let batch = batch_of !next in
+                ignore
+                  (Ctx.execute_batch ctx ~view:0 ~seqno:!next batch
+                     ~proof:Block.No_proof);
+                model := (!next, batch.Message.digest) :: !model;
+                incr next
+              done
+          | Rollback k ->
+              let seqno = !next - 1 - k in
+              ignore (Ctx.rollback_to ctx ~seqno);
+              model := List.filter (fun (s, _) -> s <= seqno) !model;
+              next := max 0 (seqno + 1)
+          | Snapshot k ->
+              let upto = !next - 1 + k in
+              Ctx.install_snapshot ctx ~upto ~rows:[] ~blocks:[];
+              model := [];
+              next := upto + 1);
+          agrees ())
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Rid table                                                           *)
 
 module Rid_table = R.Rid_table
@@ -873,5 +940,7 @@ let () =
         Alcotest.test_case "unknown and stale acks ignored" `Quick
           test_hub_ignores_unknown_acks
         :: List.map QCheck_alcotest.to_alcotest [ hub_model_qcheck ] );
+      ( "replica_ctx",
+        [ QCheck_alcotest.to_alcotest executed_log_qcheck ] );
       ("rid_table", List.map QCheck_alcotest.to_alcotest rid_table_qcheck);
     ]
