@@ -46,6 +46,7 @@ let jobs = Poe_parallel.Pool.default_jobs ()
 
 module An = Poe_analysis
 module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 
 let fmt = Format.std_formatter
 let section title = Format.fprintf fmt "---- %s ----@.@." title
@@ -53,14 +54,12 @@ let section title = Format.fprintf fmt "---- %s ----@.@." title
 let json_dir =
   match Sys.getenv_opt "BENCH_JSON_DIR" with Some d -> d | None -> "."
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Trace.escape_json b s;
-  Buffer.contents b
+let ok_or_fail = function Ok v -> v | Error e -> failwith e
+let save path contents = ok_or_fail (Json.write_file path contents)
 
 let emit (s : E.series) =
   let path = Filename.concat json_dir ("BENCH_" ^ s.E.figure ^ ".json") in
-  An.Report.write_string path (E.series_json s);
+  save path (E.series_json s);
   Format.fprintf fmt "[%s]@.@." path
 
 let show series =
@@ -107,7 +106,7 @@ let figure name f =
 
 let emit_wallclock () =
   let path = Filename.concat json_dir "BENCH_wallclock.json" in
-  An.Report.write_string path
+  save path
     (Prof.wallclock_json ~jobs ~quick ~scale ~clients:clients_per_hub
        (List.rev !bench_figures));
   Format.fprintf fmt "[%s]@.@." path
@@ -166,20 +165,18 @@ let fig10 () =
     timelines;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"figure\":\"fig10\",\"timelines\":[";
-  List.iteri
-    (fun i (name, series) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"protocol\":%s,\"points\":[" (jstr name);
-      List.iteri
-        (fun j (t, rate) ->
-          if j > 0 then Buffer.add_char buf ',';
+  Json.add_sep buf
+    (fun (name, series) ->
+      Printf.bprintf buf "{\"protocol\":%s,\"points\":[" (Json.quote name);
+      Json.add_sep buf
+        (fun (t, rate) ->
           Printf.bprintf buf "{\"t\":%.6f,\"txns_per_s\":%.6f}" t rate)
         series;
       Buffer.add_string buf "]}")
     timelines;
   Buffer.add_string buf "]}\n";
   let path = Filename.concat json_dir "BENCH_fig10.json" in
-  An.Report.write_string path (Buffer.contents buf);
+  save path (Buffer.contents buf);
   Format.fprintf fmt "[%s]@.@." path
 
 let fig11 () =
@@ -240,7 +237,7 @@ let phase_breakdowns () =
   in
   print_string (An.Report.breakdowns_to_string breakdowns);
   let path = Filename.concat json_dir "BENCH_phases.json" in
-  An.Report.write_string path (An.Report.breakdowns_json breakdowns);
+  save path (An.Report.breakdowns_json breakdowns);
   Format.fprintf fmt "[%s]@.@." path
 
 (* ------------------------------------------------------------------ *)
@@ -278,12 +275,9 @@ let append_trend_snapshot () =
                && String.sub f 0 6 = "BENCH_"
                && Filename.check_suffix f ".json"
                && f <> "BENCH_trend.json"
-             then begin
-               let ic = open_in_bin (Filename.concat json_dir f) in
-               let contents = really_input_string ic (in_channel_length ic) in
-               close_in ic;
-               An.Report.write_string (Filename.concat sub f) contents
-             end);
+             then
+               save (Filename.concat sub f)
+                 (ok_or_fail (Json.read_file (Filename.concat json_dir f))));
       Format.fprintf fmt "[trend snapshot %s]@.@." sub;
       (match Poe_diff.Bench_trend.load_dir trend_dir with
       | Error e -> Format.fprintf fmt "trend: %s@." e
@@ -291,7 +285,7 @@ let append_trend_snapshot () =
           match Poe_diff.Bench_trend.analyze ~dir:trend_dir snaps with
           | Error e -> Format.fprintf fmt "trend: %s@." e
           | Ok report ->
-              An.Report.write_string
+              save
                 (Filename.concat json_dir "BENCH_trend.json")
                 (Poe_diff.Bench_trend.render_json report);
               print_string (Poe_diff.Bench_trend.render_table report)))

@@ -20,7 +20,13 @@ module E = Poe_harness.Experiments
 module Cluster = Poe_harness.Cluster
 module Config = R.Config
 module An = Poe_analysis
+module Json = Poe_obs.Json
 open Cmdliner
+
+(* An unwritable output path ends the run through the top-level
+   [Failure] handler, like every other I/O error. *)
+let save path contents =
+  match Json.write_file path contents with Ok () -> () | Error e -> failwith e
 
 let protocol_conv =
   let parse s =
@@ -163,9 +169,9 @@ let profile_out =
            Implies $(b,--profile).")
 
 let write_profile_files prefix snap =
-  An.Report.write_string (prefix ^ ".json") (Prof.render_json snap);
-  An.Report.write_string (prefix ^ ".folded") (Prof.render_folded snap);
-  An.Report.write_string (prefix ^ ".budgets") (Prof.render_budgets snap);
+  save (prefix ^ ".json") (Prof.render_json snap);
+  save (prefix ^ ".folded") (Prof.render_folded snap);
+  save (prefix ^ ".budgets") (Prof.render_budgets snap);
   Format.printf "profile -> %s.json, %s.folded, %s.budgets@." prefix prefix
     prefix
 
@@ -246,8 +252,7 @@ let run_cmd =
         (fun path tr ->
           let life = An.Slot_life.reconstruct (Poe_obs.Trace.events tr) in
           let breakdowns = An.Attribution.of_result life in
-          An.Report.write_string path
-            (An.Report.breakdowns_to_string breakdowns);
+          save path (An.Report.breakdowns_to_string breakdowns);
           Format.printf "analysis report -> %s@." path)
         report
     in
@@ -444,7 +449,7 @@ let chaos_cmd =
     let write_heartbeats () =
       match heartbeat with
       | Some path ->
-          An.Report.write_string path (Buffer.contents hb_log);
+          save path (Buffer.contents hb_log);
           Format.printf "heartbeats -> %s@." path
       | None -> ()
     in
@@ -581,7 +586,7 @@ let chaos_cmd =
                 "no safety violations: no forensic report\n"
               else Buffer.contents forensic_log
             in
-            An.Report.write_string path content;
+            save path content;
             Format.printf "forensic report -> %s@." path
         | None -> ());
         Format.printf
@@ -601,7 +606,7 @@ let chaos_cmd =
               "no safety violations: no forensic report\n"
             else Buffer.contents forensic_log
           in
-          An.Report.write_string path content;
+          save path content;
           Format.printf "forensic report -> %s@." path)
         report
     in
@@ -734,18 +739,12 @@ let analyze_cmd =
           (Printf.sprintf
              "%s: directory is not a flight bundle (no manifest.json)" path)
       else
-        let contents =
-          let ic = open_in_bin manifest in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match An.Json.parse contents with
+        match Result.bind (Json.read_file manifest) Json.parse with
         | Error e -> Error (Printf.sprintf "%s: %s" manifest e)
         | Ok doc -> (
             let files =
-              match An.Json.member "files" doc with
-              | Some (An.Json.Arr fs) -> List.filter_map An.Json.to_string fs
+              match Json.member "files" doc with
+              | Some (Json.Arr fs) -> List.filter_map Json.to_string fs
               | _ -> []
             in
             match List.find_opt (String.equal "trace.jsonl") files with
@@ -758,10 +757,7 @@ let analyze_cmd =
   in
   let run trace json slot node =
     match
-      Result.bind (resolve_bundle trace) (fun path ->
-          Result.map_error
-            (Printf.sprintf "%s: %s" path)
-            (An.Trace_reader.load_file path))
+      Result.bind (resolve_bundle trace) An.Trace_reader.load_file
     with
     | Error msg -> `Error (false, msg)
     | Ok events ->
@@ -770,7 +766,7 @@ let analyze_cmd =
         print_string (An.Report.breakdowns_to_string breakdowns);
         (match json with
         | Some path ->
-            An.Report.write_string path (An.Report.breakdowns_json breakdowns);
+            save path (An.Report.breakdowns_json breakdowns);
             Format.printf "json breakdown -> %s@." path
         | None -> ());
         (match slot with
@@ -1144,9 +1140,7 @@ let diff_cmd =
           exit 1
       | Ok report ->
           (match out with
-          | Some path ->
-              An.Report.write_string path
-                (Poe_diff.Bench_trend.render_json report)
+          | Some path -> save path (Poe_diff.Bench_trend.render_json report)
           | None -> ());
           print_string
             (if json then Poe_diff.Bench_trend.render_json report

@@ -44,7 +44,7 @@ module Make (P : Poe_runtime.Protocol_intf.S) : sig
     heartbeats : string;
         (** this run's heartbeat JSONL stream, [""] when no heartbeat
             was armed; byte-identical per seed after
-            {!Poe_live.Heartbeat.strip_unstable} *)
+            {!Poe_obs.Json.strip_unstable_text} *)
     flight : string option;
         (** directory a flight-recorder bundle was written to (set only
             when [flight_dir] was passed and the run was not clean) *)

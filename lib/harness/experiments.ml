@@ -156,8 +156,9 @@ let instrumented ?node_name ?trace ?(metrics = false) ?(profile = false)
   (* Fail before the (possibly long) run if the trace path is unwritable. *)
   (match trace with
   | Some (_, path) -> (
-      try close_out (open_out path)
-      with Sys_error msg -> failwith ("cannot write trace file: " ^ msg))
+      match Poe_obs.Json.write_file path "" with
+      | Ok () -> ()
+      | Error msg -> failwith ("cannot write trace file: " ^ msg))
   | None -> ());
   (* [on_trace] consumers (run analysis, forensic reports) need a sink
      even when no trace file was requested. *)
@@ -221,22 +222,17 @@ let print_series fmt s =
   Format.fprintf fmt "@."
 
 let series_json s =
-  let jstr v =
-    let b = Buffer.create (String.length v + 2) in
-    Poe_obs.Trace.escape_json b v;
-    Buffer.contents b
-  in
+  let module Json = Poe_obs.Json in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "{\"figure\":%s,\"title\":%s,\"x_label\":%s,\"points\":["
-    (jstr s.figure) (jstr s.title) (jstr s.x_label);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
+    (Json.quote s.figure) (Json.quote s.title) (Json.quote s.x_label);
+  Json.add_sep buf
+    (fun p ->
       Printf.bprintf buf
         "{\"protocol\":%s,\"x\":%.6f,\"throughput\":%.6f,\"latency\":%.6f,\
          \"decisions\":%.6f,\"messages_per_decision\":%.6f,\
          \"bytes_per_decision\":%.6f}"
-        (jstr p.protocol) p.x p.throughput p.latency p.decisions
+        (Json.quote p.protocol) p.x p.throughput p.latency p.decisions
         p.messages_per_decision p.bytes_per_decision)
     s.points;
   Buffer.add_string buf "]}\n";

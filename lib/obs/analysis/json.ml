@@ -1,234 +1,1 @@
-(* Minimal recursive-descent JSON parser, enough to read back what the
-   trace/metrics exporters write. Integers and floats are kept apart so
-   trace args round-trip to the right [Trace.arg] constructor, and
-   [\u00XX] escapes decode to the single byte the exporter escaped,
-   making string round trips byte-exact (see Trace.escape_json). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Fail of string
-
-type state = { s : string; mutable pos : int }
-
-let fail st msg = raise (Fail (Printf.sprintf "at byte %d: %s" st.pos msg))
-
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let skip_ws st =
-  while
-    st.pos < String.length st.s
-    &&
-    match st.s.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    advance st
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st (Printf.sprintf "expected %c, got %c" c c')
-  | None -> fail st (Printf.sprintf "expected %c, got end of input" c)
-
-let hex_digit st c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> fail st "bad hex digit in \\u escape"
-
-(* Encode a decoded \uXXXX code point. Codes <= 0xff become the raw byte
-   (inverse of the exporter's byte escaping); higher codes are encoded as
-   UTF-8 so foreign traces still parse. *)
-let add_code buf code =
-  if code <= 0xff then Buffer.add_char buf (Char.chr code)
-  else if code <= 0x7ff then begin
-    Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-  end
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> fail st "unterminated escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if st.pos + 4 > String.length st.s then
-                  fail st "truncated \\u escape";
-                let code =
-                  (hex_digit st st.s.[st.pos] lsl 12)
-                  lor (hex_digit st st.s.[st.pos + 1] lsl 8)
-                  lor (hex_digit st st.s.[st.pos + 2] lsl 4)
-                  lor hex_digit st st.s.[st.pos + 3]
-                in
-                st.pos <- st.pos + 4;
-                add_code buf code
-            | c -> fail st (Printf.sprintf "bad escape \\%c" c));
-            go ())
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let is_float = ref false in
-  let rec go () =
-    match peek st with
-    | Some ('0' .. '9' | '-' | '+') ->
-        advance st;
-        go ()
-    | Some ('.' | 'e' | 'E') ->
-        is_float := true;
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  let tok = String.sub st.s start (st.pos - start) in
-  if !is_float then
-    match float_of_string_opt tok with
-    | Some f -> Float f
-    | None -> fail st (Printf.sprintf "bad number %S" tok)
-  else
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-        (* out-of-range integer literal: fall back to float *)
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail st (Printf.sprintf "bad number %S" tok))
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '"' -> Str (parse_string st)
-  | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws st;
-          let k = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          fields := (k, v) :: !fields;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ()
-          | Some '}' -> advance st
-          | _ -> fail st "expected , or } in object"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements ()
-          | Some ']' -> advance st
-          | _ -> fail st "expected , or ] in array"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-  | Some 't' ->
-      if st.pos + 4 <= String.length st.s && String.sub st.s st.pos 4 = "true"
-      then begin
-        st.pos <- st.pos + 4;
-        Bool true
-      end
-      else fail st "bad literal"
-  | Some 'f' ->
-      if st.pos + 5 <= String.length st.s && String.sub st.s st.pos 5 = "false"
-      then begin
-        st.pos <- st.pos + 5;
-        Bool false
-      end
-      else fail st "bad literal"
-  | Some 'n' ->
-      if st.pos + 4 <= String.length st.s && String.sub st.s st.pos 4 = "null"
-      then begin
-        st.pos <- st.pos + 4;
-        Null
-      end
-      else fail st "bad literal"
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected character %c" c)
-
-let parse s =
-  let st = { s; pos = 0 } in
-  match parse_value st with
-  | v ->
-      skip_ws st;
-      if st.pos <> String.length s then Error "trailing garbage after value"
-      else Ok v
-  | exception Fail msg -> Error msg
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let to_int = function
-  | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let to_float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
-
-let to_string = function Str s -> Some s | _ -> None
+include Poe_obs.Json

@@ -1,15 +1,11 @@
 module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 
 (* All rendering is Printf into a Buffer with fixed-precision floats, so
    the same analysis input always produces byte-identical output — the
    reports are diffable artifacts, same-seed runs must match exactly. *)
 
 let fsec = Printf.sprintf "%.6f"
-
-let str s =
-  let b = Buffer.create (String.length s + 2) in
-  Trace.escape_json b s;
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Phase breakdown: text                                               *)
@@ -47,20 +43,16 @@ let add_phase_json buf (ps : Attribution.phase_stats) =
   Printf.bprintf buf
     "{\"phase\":%s,\"count\":%d,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\
      \"max\":%s,\"share\":%s}"
-    (str ps.phase) ps.count (fsec ps.mean) (fsec ps.p50) (fsec ps.p95)
+    (Json.quote ps.phase) ps.count (fsec ps.mean) (fsec ps.p50) (fsec ps.p95)
     (fsec ps.p99) (fsec ps.max) (fsec ps.share)
 
 let add_breakdown_json buf (b : Attribution.breakdown) =
   Printf.bprintf buf
     "{\"protocol\":%s,\"slots_seen\":%d,\"committed\":%d,\"rolled_back\":%d,\
      \"abandoned\":%d,\"in_flight\":%d,\"truncated\":%d,\"phases\":["
-    (str b.protocol) b.slots_seen b.committed b.rolled_back b.abandoned
+    (Json.quote b.protocol) b.slots_seen b.committed b.rolled_back b.abandoned
     b.in_flight b.truncated;
-  List.iteri
-    (fun i ps ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_phase_json buf ps)
-    b.phases;
+  Json.add_sep buf (add_phase_json buf) b.phases;
   Printf.bprintf buf
     "],\"slot\":{\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s},\"e2e\":{\
      \"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}}"
@@ -69,11 +61,7 @@ let add_breakdown_json buf (b : Attribution.breakdown) =
 
 let add_breakdowns_json buf bs =
   Buffer.add_string buf "{\"protocols\":[";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_breakdown_json buf b)
-    bs;
+  Json.add_sep buf (add_breakdown_json buf) bs;
   Buffer.add_string buf "]}\n"
 
 let breakdowns_json bs =
@@ -89,7 +77,7 @@ let add_arg buf (k, v) =
   match v with
   | Trace.I i -> Printf.bprintf buf "%d" i
   | Trace.F f -> Buffer.add_string buf (fsec f)
-  | Trace.S s -> Buffer.add_string buf (str s)
+  | Trace.S s -> Json.escape buf s
 
 let ph_label = function
   | Trace.Span_begin -> "begin"
@@ -135,7 +123,8 @@ let add_forensics buf (f : Forensics.t) =
       p buf
         "\ndivergence: slot %d — replica %d executed %s, replica %d executed \
          %s\n"
-        d.d_seqno d.d_node_a (str d.d_digest_a) d.d_node_b (str d.d_digest_b));
+        d.d_seqno d.d_node_a (Json.quote d.d_digest_a) d.d_node_b
+        (Json.quote d.d_digest_b));
   p buf "\nfault-schedule actions before the violation (%d):\n"
     (List.length f.faults);
   List.iter
@@ -171,8 +160,3 @@ let forensics_to_string f =
   let buf = Buffer.create 4096 in
   add_forensics buf f;
   Buffer.contents buf
-
-let write_string path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc

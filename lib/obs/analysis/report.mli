@@ -22,6 +22,3 @@ val forensics_to_string : Forensics.t -> string
 (** The full forensic report: violation header, implicated slots,
     divergence point, fault-schedule actions, per-slot critical paths
     and the cross-replica causal timeline. *)
-
-val write_string : string -> string -> unit
-(** [write_string path content] *)

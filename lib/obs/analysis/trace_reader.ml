@@ -1,4 +1,5 @@
 module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 
 let arg_of_json = function
   | Json.Int i -> Some (Trace.I i)
@@ -74,13 +75,8 @@ let events_of_jsonl content =
   else Ok (List.rev !events)
 
 let load_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let len = in_channel_length ic in
-      let content = really_input_string ic len in
-      close_in ic;
-      events_of_jsonl content
+  Result.bind (Json.read_file path) (fun content ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (events_of_jsonl content))
 
 let int_arg name ev =
   match List.assoc_opt name ev.Trace.args with

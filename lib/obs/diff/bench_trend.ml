@@ -1,4 +1,4 @@
-module Json = Poe_analysis.Json
+module Json = Poe_obs.Json
 
 type fig = {
   f_name : string;
@@ -39,28 +39,11 @@ type report = {
   rp_regressions : regression list;
 }
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
-
-(* wall_s is exported as {"unstable":true,"value":X} so determinism
-   checks can strip it; the trend tracker is the one consumer that wants
-   the host-time value itself. *)
-let unstable_value v =
-  match Json.member "value" v with
-  | Some inner -> Json.to_float inner
-  | None -> Json.to_float v
-
 let parse_fig (v : Json.t) : (fig, string) result =
-  let str k = Option.bind (Json.member k v) Json.to_string in
-  match str "figure" with
+  match Option.bind (Json.member "figure" v) Json.to_string with
   | None -> Error "figure entry without a name"
   | Some name -> (
-      match Option.bind (Json.member "wall_s" v) unstable_value with
+      match Option.bind (Json.member "wall_s" v) Json.unstable_value with
       | None -> Error (Printf.sprintf "figure %s: missing wall_s" name)
       | Some wall ->
           let alloc =
@@ -116,7 +99,7 @@ let parse_wallclock ~name (s : string) : (snapshot, string) result =
 
 let load_snapshot ~dir ~name =
   let sub = Filename.concat dir name in
-  match read_file (Filename.concat sub "BENCH_wallclock.json") with
+  match Json.read_file (Filename.concat sub "BENCH_wallclock.json") with
   | Error e -> Error (Printf.sprintf "%s: %s" name e)
   | Ok s -> (
       match parse_wallclock ~name s with
@@ -131,7 +114,7 @@ let load_snapshot ~dir ~name =
                    && f <> "BENCH_wallclock.json" && f <> "BENCH_trend.json")
             |> List.sort compare
             |> List.filter_map (fun f ->
-                   match read_file (Filename.concat sub f) with
+                   match Json.read_file (Filename.concat sub f) with
                    | Ok c -> Some (f, c)
                    | Error _ -> None)
           in
@@ -310,22 +293,16 @@ let render_table r =
         regs);
   Buffer.contents b
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Poe_obs.Trace.escape_json b s;
-  Buffer.contents b
-
 let render_json r =
   let b = Buffer.create 2048 in
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema\":\"poe-bench-trend-v1\",\"dir\":%s,\"current\":%s,\"previous\":%s,\"snapshots\":%d,\"wall_threshold\":%g,\"figures\":["
-       (jstr r.rp_dir) (jstr r.rp_current)
-       (match r.rp_previous with Some p -> jstr p | None -> "null")
+       (Json.quote r.rp_dir) (Json.quote r.rp_current)
+       (match r.rp_previous with Some p -> Json.quote p | None -> "null")
        r.rp_snapshots r.rp_wall_threshold);
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
+  Json.add_sep b
+    (fun t ->
       let opt_f = function
         | Some f -> Printf.sprintf "%.9f" f
         | None -> "null"
@@ -333,16 +310,16 @@ let render_json r =
       Buffer.add_string b
         (Printf.sprintf
            "{\"figure\":%s,\"wall_s\":%.9f,\"wall_prev\":%s,\"wall_best\":%s,\"delta_prev\":%s,\"delta_best\":%s}"
-           (jstr t.t_figure) t.t_wall (opt_f t.t_wall_prev) (opt_f t.t_wall_best)
+           (Json.quote t.t_figure) t.t_wall (opt_f t.t_wall_prev)
+           (opt_f t.t_wall_best)
            (opt_f t.t_delta_prev) (opt_f t.t_delta_best)))
     r.rp_figures;
   Buffer.add_string b "],\"regressions\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then Buffer.add_char b ',';
+  Json.add_sep b
+    (fun g ->
       Buffer.add_string b
         (Printf.sprintf "{\"figure\":%s,\"kind\":%s,\"detail\":%s}"
-           (jstr g.r_figure) (jstr g.r_kind) (jstr g.r_detail)))
+           (Json.quote g.r_figure) (Json.quote g.r_kind) (Json.quote g.r_detail)))
     r.rp_regressions;
   Buffer.add_string b
     (Printf.sprintf "],\"regressed\":%b}\n" (regressed r));

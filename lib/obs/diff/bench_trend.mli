@@ -22,8 +22,8 @@ type fig = {
   f_name : string;
   f_wall : float;  (** host seconds, from the unstable-tagged wrapper *)
   f_alloc : float;
-  f_counters : Poe_analysis.Json.t;
-  f_budgets : Poe_analysis.Json.t;
+  f_counters : Poe_obs.Json.t;
+  f_budgets : Poe_obs.Json.t;
 }
 
 type snapshot = {

@@ -1,4 +1,4 @@
-module Json = Poe_analysis.Json
+module Json = Poe_obs.Json
 
 type policy = Exact | Relative of float | Ignore
 
@@ -18,24 +18,6 @@ type mismatch = { m_path : string; m_kind : string; m_a : string; m_b : string }
 type outcome = Identical of int | Diverged of mismatch list
 
 let max_mismatches = 100
-
-let rec strip_unstable (v : Json.t) : Json.t =
-  match v with
-  | Json.Obj fields ->
-      let keep (_, fv) =
-        match fv with
-        | Json.Obj inner -> (
-            match List.assoc_opt "unstable" inner with
-            | Some (Json.Bool true) -> false
-            | _ -> true)
-        | _ -> true
-      in
-      Json.Obj
-        (List.filter_map
-           (fun (k, fv) -> if keep (k, fv) then Some (k, strip_unstable fv) else None)
-           fields)
-  | Json.Arr xs -> Json.Arr (List.map strip_unstable xs)
-  | _ -> v
 
 let rec render_value = function
   | Json.Null -> "null"
@@ -127,27 +109,13 @@ let finish st =
 let diff_values ?(policies = []) a b =
   let policies = policies @ default_policies in
   let st = { leaves = 0; mismatches = []; count = 0 } in
-  walk policies st "" (strip_unstable a) (strip_unstable b);
+  walk policies st "" (Json.strip_unstable a) (Json.strip_unstable b);
   finish st
 
 let obj_of_counters cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
 
 let diff_counters ?policies ~a ~b () =
   diff_values ?policies (obj_of_counters a) (obj_of_counters b)
-
-let diff_snapshots ?policies ~a ~b () =
-  let side s =
-    Json.Obj
-      [
-        ("counters", obj_of_counters (Poe_obs.Metrics.snapshot_counters s));
-        ( "gauges",
-          Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Json.Float v))
-               (Poe_obs.Metrics.snapshot_gauges s)) );
-      ]
-  in
-  diff_values ?policies (side a) (side b)
 
 (* [poe_sim profile] budgets tables:
      replies_completed 98597
@@ -217,16 +185,8 @@ let diff_strings ?policies sa sb =
   | Error e, _ -> Error (Printf.sprintf "side A: %s" e)
   | _, Error e -> Error (Printf.sprintf "side B: %s" e)
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
-
 let diff_files ?policies pa pb =
-  match (read_file pa, read_file pb) with
+  match (Json.read_file pa, Json.read_file pb) with
   | Ok sa, Ok sb -> diff_strings ?policies sa sb
   | Error e, _ | _, Error e -> Error e
 
@@ -249,11 +209,6 @@ let render ?(label_a = "A") ?(label_b = "B") outcome =
         ms);
   Buffer.contents b
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Poe_obs.Trace.escape_json b s;
-  Buffer.contents b
-
 let to_json outcome =
   match outcome with
   | Identical n ->
@@ -261,7 +216,8 @@ let to_json outcome =
   | Diverged ms ->
       let m_json m =
         Printf.sprintf "{\"path\":%s,\"kind\":%s,\"a\":%s,\"b\":%s}"
-          (jstr m.m_path) (jstr m.m_kind) (jstr m.m_a) (jstr m.m_b)
+          (Json.quote m.m_path) (Json.quote m.m_kind) (Json.quote m.m_a)
+          (Json.quote m.m_b)
       in
       Printf.sprintf
         "{\"schema\":\"poe-metric-diff-v1\",\"outcome\":\"diverged\",\"mismatches\":[%s]}"

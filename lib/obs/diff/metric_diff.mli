@@ -1,6 +1,6 @@
-(** Tolerance-aware diffing of metric-shaped artifacts: {!Poe_obs.Metrics}
-    registry snapshots, [poe_sim profile] counter tables and budgets,
-    profile/wall-clock JSON documents, and heartbeat JSONL streams.
+(** Tolerance-aware diffing of metric-shaped artifacts: counter tables,
+    [poe_sim profile] budgets, profile/wall-clock JSON documents, and
+    heartbeat JSONL streams.
 
     One code path, one report format, for every "two runs should agree"
     comparison in the tree. The comparison walks two parsed JSON values
@@ -40,18 +40,14 @@ type outcome =
   | Identical of int  (** leaves compared *)
   | Diverged of mismatch list  (** in walk order, capped at 100 *)
 
-val strip_unstable : Poe_analysis.Json.t -> Poe_analysis.Json.t
-(** Remove every object member whose value is an object carrying
-    ["unstable": true]. *)
-
 val diff_values :
   ?policies:(string * policy) list ->
-  Poe_analysis.Json.t ->
-  Poe_analysis.Json.t ->
+  Poe_obs.Json.t ->
+  Poe_obs.Json.t ->
   outcome
-(** Structural diff of two JSON values ({!strip_unstable} applied to
-    both). [policies] prepends to {!default_policies}; first match on
-    the leaf's final path segment wins. *)
+(** Structural diff of two JSON values ({!Poe_obs.Json.strip_unstable}
+    applied to both). [policies] prepends to {!default_policies}; first
+    match on the leaf's final path segment wins. *)
 
 val diff_counters :
   ?policies:(string * policy) list ->
@@ -61,15 +57,7 @@ val diff_counters :
   outcome
 (** Diff two name-sorted counter tables (exact by default). *)
 
-val diff_snapshots :
-  ?policies:(string * policy) list ->
-  a:Poe_obs.Metrics.snapshot ->
-  b:Poe_obs.Metrics.snapshot ->
-  unit ->
-  outcome
-(** Diff two metrics-registry snapshots: counters and gauges. *)
-
-val parse_budgets : string -> (Poe_analysis.Json.t, string) result
+val parse_budgets : string -> (Poe_obs.Json.t, string) result
 (** Parse a [poe_sim profile] [.budgets] table ([name total per_reply]
     lines) into a JSON object, so budget drift flows through the same
     tolerance machinery and report format as every other diff. *)

@@ -1,4 +1,5 @@
 module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 module Slot_life = Poe_analysis.Slot_life
 module Trace_reader = Poe_analysis.Trace_reader
 
@@ -58,10 +59,7 @@ let window_lines events ~center ~window =
 let arg_repr = function
   | Trace.I i -> string_of_int i
   | Trace.F f -> Printf.sprintf "%.9f" f
-  | Trace.S s ->
-      let b = Buffer.create (String.length s + 2) in
-      Trace.escape_json b s;
-      Buffer.contents b
+  | Trace.S s -> Json.quote s
 
 let ph_repr = function
   | Trace.Span_begin -> "B"
@@ -273,8 +271,7 @@ let diff_events ?(window = 3) ~a ~b () =
 
 let diff_files ?window path_a path_b =
   match (Trace_reader.load_file path_a, Trace_reader.load_file path_b) with
-  | Error e, _ -> Error (Printf.sprintf "%s: %s" path_a e)
-  | _, Error e -> Error (Printf.sprintf "%s: %s" path_b e)
+  | Error e, _ | _, Error e -> Error e
   | Ok a, Ok b ->
       (* An empty parse of a nonempty file is already reported as an
          error by the reader; an empty file parses to []. *)
@@ -309,11 +306,6 @@ let render ?(label_a = "a") ?(label_b = "b") outcome =
       List.iter (fun l -> Printf.bprintf b "  %s\n" l) d.d_context_b);
   Buffer.contents b
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Trace.escape_json b s;
-  Buffer.contents b
-
 let to_json outcome =
   let b = Buffer.create 512 in
   (match outcome with
@@ -322,28 +314,20 @@ let to_json outcome =
   | Incomparable_prefix { side; detail } ->
       Printf.bprintf b
         "{\"schema\":\"poe-trace-diff-v1\",\"outcome\":\"incomparable-prefix\",\"side\":%s,\"detail\":%s}"
-        (jstr (side_name side)) (jstr detail)
+        (Json.quote (side_name side)) (Json.quote detail)
   | Incompatible detail ->
       Printf.bprintf b "{\"schema\":\"poe-trace-diff-v1\",\"outcome\":\"incompatible\",\"detail\":%s}"
-        (jstr detail)
+        (Json.quote detail)
   | Diverged d ->
       Printf.bprintf b
         "{\"schema\":\"poe-trace-diff-v1\",\"outcome\":\"diverged\",\"index\":%d,\"ts\":%.9f,\"node\":%d,\
          \"seqno\":%d,\"phase\":%s,\"field\":%s,\"a\":%s,\"b\":%s,\
          \"context_a\":["
-        d.d_index d.d_ts d.d_node d.d_seqno (jstr d.d_phase) (jstr d.d_field)
-        (jstr d.d_a) (jstr d.d_b);
-      List.iteri
-        (fun i l ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (jstr l))
-        d.d_context_a;
+        d.d_index d.d_ts d.d_node d.d_seqno (Json.quote d.d_phase)
+        (Json.quote d.d_field) (Json.quote d.d_a) (Json.quote d.d_b);
+      Json.add_sep b (Json.escape b) d.d_context_a;
       Buffer.add_string b "],\"context_b\":[";
-      List.iteri
-        (fun i l ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (jstr l))
-        d.d_context_b;
+      Json.add_sep b (Json.escape b) d.d_context_b;
       Buffer.add_string b "]}");
   Buffer.add_char b '\n';
   Buffer.contents b

@@ -1,4 +1,5 @@
 module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 module Prof = Poe_prof.Prof
 
 let trace_window = 4096
@@ -8,11 +9,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let write_text path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 let last_n n lst =
   let len = List.length lst in
@@ -26,7 +22,9 @@ let dump ~dir ~reason ~at ?wall ?(meta = []) ~events ~heartbeats ~state () =
   mkdir_p dir;
   let files = ref [] in
   let emit name contents =
-    write_text (Filename.concat dir name) contents;
+    (match Json.write_file (Filename.concat dir name) contents with
+    | Ok () -> ()
+    | Error e -> raise (Sys_error e));
     files := name :: !files
   in
   let windowed = last_n trace_window events in
@@ -39,25 +37,21 @@ let dump ~dir ~reason ~at ?wall ?(meta = []) ~events ~heartbeats ~state () =
   (* Manifest last, so its file list is complete. *)
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\"reason\":";
-  Trace.escape_json buf reason;
+  Json.escape buf reason;
   Printf.bprintf buf ",\"at\":%.9f" at;
   Printf.bprintf buf ",\"trace_events\":%d,\"trace_window\":%d"
     (List.length windowed) trace_window;
   List.iter
     (fun (k, v) ->
       Buffer.add_char buf ',';
-      Trace.escape_json buf k;
+      Json.escape buf k;
       Buffer.add_char buf ':';
-      Trace.escape_json buf v)
+      Json.escape buf v)
     meta;
   Buffer.add_string buf ",\"files\":[";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char buf ',';
-      Trace.escape_json buf name)
-    (List.rev ("manifest.json" :: !files));
+  Json.add_sep buf (Json.escape buf) (List.rev ("manifest.json" :: !files));
   Buffer.add_char buf ']';
-  Printf.bprintf buf ",\"wall\":{\"unstable\":true,\"value\":%.6f}" wall;
+  Printf.bprintf buf ",\"wall\":%s" (Json.unstable wall);
   Buffer.add_string buf "}\n";
   emit "manifest.json" (Buffer.contents buf);
   List.rev !files

@@ -15,7 +15,7 @@
 
     Everything except the manifest's wall-clock field derives from
     simulated state, so two bundles from the same seed are
-    byte-identical after {!Heartbeat.strip_unstable}. *)
+    byte-identical after {!Poe_obs.Json.strip_unstable_text}. *)
 
 val trace_window : int
 (** Max trace events retained in a bundle (the {e last} N). *)
@@ -35,4 +35,5 @@ val dump :
     existing files are overwritten — callers pass a per-run
     subdirectory). [meta] adds extra string fields to the manifest
     (seed, protocol, ...). [wall] defaults to [Unix.gettimeofday ()].
-    Returns the relative names of the files written. *)
+    Returns the relative names of the files written. Raises [Sys_error]
+    when a file cannot be written. *)

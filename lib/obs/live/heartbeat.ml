@@ -1,4 +1,4 @@
-module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 
 type replica_sample = {
   r_id : int;
@@ -53,9 +53,8 @@ let line_of_sample ?wall s =
   Printf.bprintf buf "{\"hb\":%d,\"ts\":" s.hb_seq;
   add_float buf s.hb_ts;
   Buffer.add_string buf ",\"replicas\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
+  Json.add_sep buf
+    (fun r ->
       Printf.bprintf buf
         "{\"id\":%d,\"view\":%d,\"exec\":%d,\"commit\":%d,\"alive\":%b}" r.r_id
         r.r_view r.r_exec r.r_commit r.r_alive)
@@ -65,10 +64,9 @@ let line_of_sample ?wall s =
   Buffer.add_string buf ",\"oldest_age\":";
   add_float buf s.hb_oldest_age;
   Buffer.add_string buf ",\"deltas\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Trace.escape_json buf k;
+  Json.add_sep buf
+    (fun (k, v) ->
+      Json.escape buf k;
       Printf.bprintf buf ":%d" v)
     s.hb_deltas;
   Buffer.add_char buf '}';
@@ -76,8 +74,8 @@ let line_of_sample ?wall s =
   | Some w ->
       (* Host time: useful for eyeballing progress, poison for diffing —
          tagged exactly like BENCH_wallclock.json's host fields so
-         consumers (and strip_unstable) can drop it. *)
-      Printf.bprintf buf ",\"wall\":{\"unstable\":true,\"value\":%.6f}" w
+         consumers (and Json.strip_unstable) can drop it. *)
+      Printf.bprintf buf ",\"wall\":%s" (Json.unstable w)
   | None -> ());
   Buffer.add_string buf "}\n";
   Buffer.contents buf
@@ -96,71 +94,4 @@ let to_jsonl t = Buffer.contents t.all
 let tail_jsonl t =
   let buf = Buffer.create 4096 in
   Queue.iter (Buffer.add_string buf) t.tail;
-  Buffer.contents buf
-
-let write_file t ~path =
-  let oc = open_out path in
-  output_string oc (to_jsonl t);
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* Stripping unstable fields                                           *)
-
-(* Remove every `"key":{"unstable":true,...}` member, together with its
-   leading comma (or its trailing comma when the member happens to lead
-   an object). The tagged value object never nests and holds only
-   numeric/boolean fields, so the first '}' after the marker closes it. *)
-let strip_unstable s =
-  let marker = "{\"unstable\":true" in
-  let mlen = String.length marker in
-  let len = String.length s in
-  let buf = Buffer.create len in
-  (* From [ks] (which holds '"'), skip the quoted key and the ':';
-     return the value-start index, or None if the shape is not a
-     member. *)
-  let value_start ks =
-    let rec close j =
-      if j >= len then None
-      else if s.[j] = '\\' then close (j + 2)
-      else if s.[j] = '"' then Some j
-      else close (j + 1)
-    in
-    match close (ks + 1) with
-    | Some q when q + 1 < len && s.[q + 1] = ':' -> Some (q + 2)
-    | _ -> None
-  in
-  let matches_at i =
-    i + mlen <= len && String.equal (String.sub s i mlen) marker
-  in
-  let rec value_end j =
-    if j >= len then len - 1 else if s.[j] = '}' then j else value_end (j + 1)
-  in
-  let i = ref 0 in
-  while !i < len do
-    let c = s.[!i] in
-    let handled =
-      (c = ',' || c = '{')
-      && !i + 1 < len
-      && s.[!i + 1] = '"'
-      &&
-      match value_start (!i + 1) with
-      | Some vstart when matches_at vstart ->
-          let vend = value_end vstart in
-          if c = ',' then i := vend + 1 (* drop ,"key":{...} entirely *)
-          else begin
-            (* leading member: keep '{', drop the member and a trailing
-               comma if one follows *)
-            Buffer.add_char buf '{';
-            i :=
-              (if vend + 1 < len && s.[vend + 1] = ',' then vend + 2
-               else vend + 1)
-          end;
-          true
-      | _ -> false
-    in
-    if not handled then begin
-      Buffer.add_char buf c;
-      incr i
-    end
-  done;
   Buffer.contents buf

@@ -11,9 +11,10 @@
     {!Poe_parallel.Pool} job counts.
 
     The single host-time field — the wall clock at which the sample was
-    recorded — is tagged [{"unstable":true}] exactly like the host
-    fields of [BENCH_wallclock.json], and {!strip_unstable} removes it
-    so streams can be compared byte-for-byte.
+    recorded — is tagged with {!Poe_obs.Json.unstable} exactly like the
+    host fields of [BENCH_wallclock.json], and
+    {!Poe_obs.Json.strip_unstable_text} removes it so streams can be
+    compared byte-for-byte.
 
     This module is harness-agnostic: it only formats and retains
     samples. {!Poe_harness.Cluster.Make.attach_heartbeat} does the
@@ -69,14 +70,7 @@ val to_jsonl : t -> string
 val tail_jsonl : t -> string
 (** The lines of the retained tail only (flight-recorder bound). *)
 
-val write_file : t -> path:string -> unit
-
 val line_of_sample : ?wall:float -> sample -> string
 (** One JSONL line (newline included). String fields go through
-    {!Poe_obs.Trace.escape_json}; floats use the trace exporters' fixed
+    {!Poe_obs.Json.escape}; floats use the trace exporters' fixed
     precision. With [wall] absent the line has no unstable field at all. *)
-
-val strip_unstable : string -> string
-(** Remove every [,"<key>":{"unstable":true,...}] field from a JSONL
-    string — the preprocessing step for byte-comparing two streams
-    recorded on different hosts or job counts. *)

@@ -1,5 +1,4 @@
 type counter = { mutable c : int }
-type gauge = { mutable g : float }
 
 (* Log-bucketed histogram: bucket boundaries grow geometrically by
    [bucket_ratio] from [lo] to [hi], giving ~9% worst-case relative
@@ -20,16 +19,11 @@ type histogram = {
 
 type t = {
   counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 64;
-    histograms = Hashtbl.create 64;
-  }
+  { counters = Hashtbl.create 64; histograms = Hashtbl.create 64 }
 
 let get_or tbl name mk =
   match Hashtbl.find_opt tbl name with
@@ -40,7 +34,6 @@ let get_or tbl name mk =
       v
 
 let counter t name = get_or t.counters name (fun () -> { c = 0 })
-let gauge t name = get_or t.gauges name (fun () -> { g = 0.0 })
 
 let histogram t name =
   get_or t.histograms name (fun () ->
@@ -48,9 +41,6 @@ let histogram t name =
 
 let incr ?(by = 1) c = c.c <- c.c + by
 let counter_value c = c.c
-
-let set g v = g.g <- v
-let gauge_value g = g.g
 
 let bucket_of v =
   if v <= lo then 0
@@ -111,19 +101,13 @@ let current_registry () = !(current ())
 let cincr ?by name =
   match !(current ()) with None -> () | Some t -> incr ?by (counter t name)
 
-let gset name v =
-  match !(current ()) with None -> () | Some t -> set (gauge t name) v
-
 let hobs name v =
   match !(current ()) with None -> () | Some t -> observe (histogram t name) v
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas                                                *)
 
-type snapshot = {
-  snap_counters : (string * int) list; (* sorted by name *)
-  snap_gauges : (string * float) list;
-}
+type snapshot = { snap_counters : (string * int) list (* sorted by name *) }
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
@@ -133,13 +117,9 @@ let snapshot t =
     snap_counters =
       sorted_keys t.counters
       |> List.map (fun k -> (k, (Hashtbl.find t.counters k).c));
-    snap_gauges =
-      sorted_keys t.gauges
-      |> List.map (fun k -> (k, (Hashtbl.find t.gauges k).g));
   }
 
 let snapshot_counters s = s.snap_counters
-let snapshot_gauges s = s.snap_gauges
 
 (* Both lists are name-sorted, so the delta is a linear merge; counters
    only ever appear (never disappear) in the same registry, so entries of
@@ -166,17 +146,12 @@ let delta ~older ~newer =
 
 type row =
   | Counter_row of string * int
-  | Gauge_row of string * float
   | Histogram_row of string * int * float * float * float * float * float
 
 let rows t =
   let counters =
     sorted_keys t.counters
     |> List.map (fun k -> Counter_row (k, (Hashtbl.find t.counters k).c))
-  in
-  let gauges =
-    sorted_keys t.gauges
-    |> List.map (fun k -> Gauge_row (k, (Hashtbl.find t.gauges k).g))
   in
   let hists =
     sorted_keys t.histograms
@@ -192,14 +167,13 @@ let rows t =
                quantile h 0.99,
                h.max_v ))
   in
-  counters @ gauges @ hists
+  counters @ hists
 
 let pp_summary fmt t =
   let rs = rows t in
   let has_counters =
     List.exists (function Counter_row _ -> true | _ -> false) rs
   in
-  let has_gauges = List.exists (function Gauge_row _ -> true | _ -> false) rs in
   let has_hists =
     List.exists (function Histogram_row _ -> true | _ -> false) rs
   in
@@ -208,15 +182,7 @@ let pp_summary fmt t =
     List.iter
       (function
         | Counter_row (name, v) -> Format.fprintf fmt "  %-40s %12d@." name v
-        | Gauge_row _ | Histogram_row _ -> ())
-      rs
-  end;
-  if has_gauges then begin
-    Format.fprintf fmt "gauges:@.";
-    List.iter
-      (function
-        | Gauge_row (name, v) -> Format.fprintf fmt "  %-40s %12.6g@." name v
-        | Counter_row _ | Histogram_row _ -> ())
+        | Histogram_row _ -> ())
       rs
   end;
   if has_hists then begin
@@ -227,6 +193,6 @@ let pp_summary fmt t =
         | Histogram_row (name, n, mean, p50, p95, p99, max_v) ->
             Format.fprintf fmt "  %-40s %9d %10.6f %10.6f %10.6f %10.6f %10.6f@."
               name n mean p50 p95 p99 max_v
-        | Counter_row _ | Gauge_row _ -> ())
+        | Counter_row _ -> ())
       rs
   end

@@ -1,8 +1,8 @@
-(** A metrics registry: counters, gauges, and log-bucketed latency
+(** A metrics registry: counters and log-bucketed latency
     histograms with quantile estimation.
 
     Like {!Trace}, metrics are opt-in through a module-level current
-    registry; the [c*]/[g*]/[h*] convenience emitters are no-ops when
+    registry; the [c*]/[h*] convenience emitters are no-ops when
     none is installed, so instrumented paths cost one load-and-branch
     when metrics are off.
 
@@ -10,7 +10,6 @@
     derive from simulated time and event counts, never wall-clock. *)
 
 type counter
-type gauge
 type histogram
 
 type t
@@ -20,16 +19,12 @@ val create : unit -> t
 (** {1 Registration (get-or-create by name)} *)
 
 val counter : t -> string -> counter
-val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
 (** {1 Updates} *)
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Record a sample. Values are clamped into the bucketed range
@@ -65,12 +60,11 @@ val current_registry : unit -> t option
 val cincr : ?by:int -> string -> unit
 (** Increment a counter in the current registry (no-op when disabled). *)
 
-val gset : string -> float -> unit
 val hobs : string -> float -> unit
 
 (** {1 Snapshots and deltas}
 
-    A snapshot freezes every counter and gauge value at one instant;
+    A snapshot freezes every counter value at one instant;
     deltas between two snapshots of the same registry are what the live
     heartbeat sampler emits per interval. Both are deterministic: entries
     are sorted by name and values derive only from simulated activity. *)
@@ -78,25 +72,21 @@ val hobs : string -> float -> unit
 type snapshot
 
 val snapshot : t -> snapshot
-(** Freeze the current counter and gauge values (sorted by name). Cheap
+(** Freeze the current counter values (sorted by name). Cheap
     enough to call on a heartbeat interval. *)
 
 val snapshot_counters : snapshot -> (string * int) list
 (** Counter values captured by the snapshot, sorted by name. *)
 
-val snapshot_gauges : snapshot -> (string * float) list
-
 val delta : older:snapshot -> newer:snapshot -> (string * int) list
 (** Per-counter increments between two snapshots of the same registry:
     every counter of [newer] whose value changed since [older] (counters
-    absent from [older] count from 0), sorted by name. Gauges are
-    levels, not totals — read them from the snapshot directly. *)
+    absent from [older] count from 0), sorted by name. *)
 
 (** {1 Dump} *)
 
 type row =
   | Counter_row of string * int
-  | Gauge_row of string * float
   | Histogram_row of string * int * float * float * float * float * float
       (** name, count, mean, p50, p95, p99, max *)
 

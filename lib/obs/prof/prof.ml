@@ -1,4 +1,4 @@
-module Trace = Poe_obs.Trace
+module Json = Poe_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Counter registry                                                    *)
@@ -112,7 +112,6 @@ let dstate_key : dstate Domain.DLS.key =
 let regions_on = Atomic.make false
 let enable_regions () = Atomic.set regions_on true
 let disable_regions () = Atomic.set regions_on false
-let regions_enabled () = Atomic.get regions_on
 
 let escape_frame name =
   String.map
@@ -372,39 +371,24 @@ let render_table ?(top = 20) snap =
         bs);
   Buffer.contents b
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Trace.escape_json b s;
-  Buffer.contents b
-
-(* Host-time-dependent values are wrapped so consumers can strip every
-   object member whose value carries ["unstable": true] and compare the
-   deterministic remainder byte-for-byte. *)
-let junstable_f v = Printf.sprintf "{\"unstable\":true,\"value\":%s}" (fsec v)
-
 let render_json snap =
   let b = Buffer.create 8192 in
   Buffer.add_string b "{\"schema\":\"poe-profile-v1\",\"counters\":{";
-  Array.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%s:%d" (jstr name) v))
-    snap.counters;
+  Json.add_sep b
+    (fun (name, v) -> Printf.bprintf b "%s:%d" (Json.quote name) v)
+    (Array.to_list snap.counters);
   Buffer.add_string b "},\"budgets\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%s:%s" (jstr name) (fsec v)))
+  Json.add_sep b
+    (fun (name, v) -> Printf.bprintf b "%s:%s" (Json.quote name) (fsec v))
     (budgets snap);
   Buffer.add_string b "},\"regions\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
+  Json.add_sep b
+    (fun r ->
       Buffer.add_string b
         (Printf.sprintf
            "{\"path\":%s,\"calls\":%d,\"wall_s\":%s,\"self_wall_s\":%s,\"alloc_bytes\":%.0f,\"self_alloc_bytes\":%.0f,\"gc\":{\"unstable\":true,\"minor_collections\":%d,\"major_collections\":%d,\"promoted_words\":%.0f}}"
-           (jstr r.path) r.calls (junstable_f r.wall)
-           (junstable_f r.self_wall) r.alloc r.self_alloc r.minor_collections
+           (Json.quote r.path) r.calls (Json.unstable r.wall)
+           (Json.unstable r.self_wall) r.alloc r.self_alloc r.minor_collections
            r.major_collections r.promoted_words))
     snap.regions;
   Buffer.add_string b "]}\n";
@@ -452,18 +436,15 @@ let wallclock_json ~jobs ~quick ~scale ~clients figs =
     (Printf.sprintf
        "{\"schema\":\"poe-bench-wallclock-v1\",\"jobs\":%d,\"quick\":%b,\"scale\":%s,\"clients\":%d,\"figures\":["
        jobs quick (fsec scale) clients);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
+  Json.add_sep b
+    (fun f ->
       Buffer.add_string b
         (Printf.sprintf
            "{\"figure\":%s,\"wall_s\":%s,\"allocated_bytes\":%.0f,\"gc\":{\"unstable\":true,\"minor_collections\":%d,\"major_collections\":%d,\"promoted_words\":%.0f},\"counters\":{"
-           (jstr f.fig_name) (junstable_f f.fig_wall_s) f.fig_alloc_bytes
-           f.fig_minor f.fig_major f.fig_promoted);
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "%s:%d" (jstr name) v))
+           (Json.quote f.fig_name) (Json.unstable f.fig_wall_s)
+           f.fig_alloc_bytes f.fig_minor f.fig_major f.fig_promoted);
+      Json.add_sep b
+        (fun (name, v) -> Printf.bprintf b "%s:%d" (Json.quote name) v)
         f.fig_counters;
       Buffer.add_string b "},\"budgets\":{";
       let repl =
@@ -471,25 +452,15 @@ let wallclock_json ~jobs ~quick ~scale ~clients figs =
         | Some n when n > 0 -> n
         | _ -> 0
       in
-      if repl > 0 then begin
-        let first = ref true in
-        List.iteri
-          (fun j (name, v) ->
-            ignore j;
-            let is_sum =
-              Array.exists
-                (fun (n, k) -> String.equal n name && k = Sum)
-                counter_defs
-            in
-            if is_sum then begin
-              if not !first then Buffer.add_char b ',';
-              first := false;
-              Buffer.add_string b
-                (Printf.sprintf "%s:%s" (jstr name)
-                   (fsec (float_of_int v /. float_of_int repl)))
-            end)
-          f.fig_counters
-      end;
+      let is_sum name =
+        Array.exists (fun (n, k) -> String.equal n name && k = Sum) counter_defs
+      in
+      if repl > 0 then
+        Json.add_sep b
+          (fun (name, v) ->
+            Printf.bprintf b "%s:%s" (Json.quote name)
+              (fsec (float_of_int v /. float_of_int repl)))
+          (List.filter (fun (name, _) -> is_sum name) f.fig_counters);
       Buffer.add_string b "}}")
     figs;
   Buffer.add_string b "]}\n";

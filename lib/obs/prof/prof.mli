@@ -112,7 +112,6 @@ val reset : unit -> unit
 
 val enable_regions : unit -> unit
 val disable_regions : unit -> unit
-val regions_enabled : unit -> bool
 
 val with_region : string -> (unit -> 'a) -> 'a
 (** [with_region name f] runs [f] and attributes its wall-clock time and

@@ -190,54 +190,25 @@ let slot_done ~ts ~node ~view ~seqno =
 
 type format = Jsonl | Chrome
 
-let format_of_string = function
-  | "jsonl" -> Ok Jsonl
-  | "chrome" -> Ok Chrome
-  | s -> Error (Printf.sprintf "unknown trace format %S (try jsonl or chrome)" s)
-
 let format_name = function Jsonl -> "jsonl" | Chrome -> "chrome"
 
-(* Arg strings are arbitrary bytes (digests, payload prefixes, anything a
-   protocol stuffed into an event). Bytes outside printable ASCII are
-   emitted as \u00XX (byte value, latin-1 style), so the export is always
-   pure-ASCII valid JSON even for strings that are not valid UTF-8; the
-   analysis-side reader decodes \u00XX back to the single byte, making the
-   round trip byte-exact. *)
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let escape_json = Json.escape
 
 (* Fixed-precision float rendering keeps exports byte-identical across
    runs with the same seed. *)
 let add_float buf f = Buffer.add_string buf (Printf.sprintf "%.9f" f)
 
 let add_arg buf (k, v) =
-  escape_json buf k;
+  Json.escape buf k;
   Buffer.add_char buf ':';
   match v with
   | I i -> Buffer.add_string buf (string_of_int i)
   | F f -> add_float buf f
-  | S s -> escape_json buf s
+  | S s -> Json.escape buf s
 
 let add_args buf args =
   Buffer.add_char buf '{';
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_arg buf a)
-    args;
+  Json.add_sep buf (add_arg buf) args;
   Buffer.add_char buf '}'
 
 let ph_code = function
@@ -256,11 +227,11 @@ let export_jsonl_events evs buf =
       Buffer.add_string buf ",\"tid\":";
       Buffer.add_string buf (string_of_int ev.tid);
       Buffer.add_string buf ",\"cat\":";
-      escape_json buf ev.cat;
+      Json.escape buf ev.cat;
       Buffer.add_string buf ",\"name\":";
-      escape_json buf ev.name;
+      Json.escape buf ev.name;
       Buffer.add_string buf ",\"ph\":";
-      escape_json buf (ph_code ev.ph);
+      Json.escape buf (ph_code ev.ph);
       (match ev.ph with
       | Complete dur ->
           Buffer.add_string buf ",\"dur\":";
@@ -292,23 +263,15 @@ let us f = Printf.sprintf "%.3f" (f *. 1e6)
 let export_chrome ?(node_name = Printf.sprintf "node %d") t buf =
   let evs = events t in
   Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
   let emit_obj fields =
-    if !first then first := false else Buffer.add_char buf ',';
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        escape_json buf k;
+    Json.add_sep buf
+      (fun (k, v) ->
+        Json.escape buf k;
         Buffer.add_char buf ':';
         Buffer.add_string buf v)
       fields;
     Buffer.add_char buf '}'
-  in
-  let str s =
-    let b = Buffer.create (String.length s + 2) in
-    escape_json b s;
-    Buffer.contents b
   in
   (* Process metadata: one named track group per node, in node order. *)
   let nodes =
@@ -316,17 +279,20 @@ let export_chrome ?(node_name = Printf.sprintf "node %d") t buf =
       [] evs
     |> List.sort compare
   in
-  List.iter
+  Json.add_sep buf
     (fun node ->
       emit_obj
         [
-          ("name", str "process_name");
-          ("ph", str "M");
+          ("name", Json.quote "process_name");
+          ("ph", Json.quote "M");
           ("pid", string_of_int node);
           ("tid", "0");
-          ("args", Printf.sprintf "{\"name\":%s}" (str (node_name node)));
+          ("args", Printf.sprintf "{\"name\":%s}" (Json.quote (node_name node)));
         ])
     nodes;
+  (* Every event's node has a metadata entry, so both lists are empty or
+     neither is. *)
+  if evs <> [] then Buffer.add_char buf ',';
   let base_args ev extra =
     let b = Buffer.create 64 in
     let args =
@@ -337,12 +303,12 @@ let export_chrome ?(node_name = Printf.sprintf "node %d") t buf =
     add_args b args;
     Buffer.contents b
   in
-  List.iter
+  Json.add_sep buf
     (fun ev ->
       let common =
         [
-          ("name", str ev.name);
-          ("cat", str ev.cat);
+          ("name", Json.quote ev.name);
+          ("cat", Json.quote ev.cat);
           ("ts", us ev.ts);
           ("pid", string_of_int ev.node);
           ("tid", string_of_int ev.tid);
@@ -354,19 +320,24 @@ let export_chrome ?(node_name = Printf.sprintf "node %d") t buf =
           emit_obj
             (common
             @ [
-                ("ph", str code);
+                ("ph", Json.quote code);
                 ( "id2",
                   Printf.sprintf "{\"local\":%s}"
-                    (str (Printf.sprintf "0x%x" (max ev.seqno 0))) );
+                    (Json.quote (Printf.sprintf "0x%x" (max ev.seqno 0))) );
                 ("args", base_args ev []);
               ])
       | Instant ->
           emit_obj
-            (common @ [ ("ph", str "i"); ("s", str "p"); ("args", base_args ev []) ])
+            (common
+            @ [
+                ("ph", Json.quote "i");
+                ("s", Json.quote "p");
+                ("args", base_args ev []);
+              ])
       | Complete dur ->
           emit_obj
             (common
-            @ [ ("ph", str "X"); ("dur", us dur); ("args", base_args ev []) ]))
+            @ [ ("ph", Json.quote "X"); ("dur", us dur); ("args", base_args ev []) ]))
     evs;
   Buffer.add_string buf "]}\n"
 
@@ -375,6 +346,6 @@ let write_file ?node_name t ~format ~path =
   (match format with
   | Jsonl -> export_jsonl t buf
   | Chrome -> export_chrome ?node_name t buf);
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
+  match Json.write_file path (Buffer.contents buf) with
+  | Ok () -> ()
+  | Error e -> raise (Sys_error e)

@@ -137,13 +137,10 @@ val slot_done : ts:float -> node:int -> view:int -> seqno:int -> float option
 
 type format = Jsonl | Chrome
 
-val format_of_string : string -> (format, string) result
 val format_name : format -> string
 
 val escape_json : Buffer.t -> string -> unit
-(** Append a JSON string literal (quotes included) using the exporters'
-    byte-escaping rules — shared by every JSON writer in the tree so all
-    of them survive arbitrary bytes identically. *)
+(** {!Json.escape}, kept under its old name. *)
 
 val export_jsonl_events : event list -> Buffer.t -> unit
 (** {!export_jsonl} for an explicit event list — the flight recorder uses
@@ -166,3 +163,5 @@ val export_chrome : ?node_name:(int -> string) -> t -> Buffer.t -> unit
 
 val write_file :
   ?node_name:(int -> string) -> t -> format:format -> path:string -> unit
+(** Export to [path] through {!Json.write_file}; raises [Sys_error] when
+    the file cannot be written. *)

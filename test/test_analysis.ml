@@ -1,8 +1,8 @@
 (* Trace-analysis tests: slot lifecycle reconstruction from synthetic
    event streams, ring-wraparound truncation handling, rollback marking,
    causal critical-path extraction, per-phase breakdowns for all five
-   protocols from traced mini-runs, hostile-string JSON round-trips, and
-   byte-identical determinism of rendered reports. *)
+   protocols from traced mini-runs, and byte-identical determinism of
+   rendered reports. *)
 
 module Trace = Poe_obs.Trace
 module An = Poe_analysis
@@ -255,43 +255,6 @@ let protocol_breakdown_test (p : E.protocol) =
   Alcotest.test_case (name ^ " phase breakdown") `Slow test
 
 (* ------------------------------------------------------------------ *)
-(* JSON: hostile strings survive an export/import round trip            *)
-
-let hostile = "\x00\x1f\x7f\x80\xffplain \"quoted\" back\\slash\nnewline\ttab"
-
-let test_hostile_json_roundtrip () =
-  let buf = Buffer.create 256 in
-  with_sink (fun tr ->
-      Trace.instant ~ts:0.123456789 ~node:0 ~cat:"exec" ~view:2 ~seqno:11
-        ~args:
-          [
-            ("digest", Trace.S hostile); ("result", Trace.S "ok");
-            ("txns", Trace.I 3); ("lat", Trace.F 0.25);
-          ]
-        "executed";
-      Trace.export_jsonl tr buf);
-  let line = Buffer.contents buf in
-  (match An.Trace_reader.events_of_jsonl line with
-  | Error e -> Alcotest.failf "reader rejected exporter output: %s" e
-  | Ok [ ev ] ->
-      Alcotest.(check string) "hostile digest byte-exact" hostile
-        (Option.get (An.Trace_reader.str_arg "digest" ev));
-      Alcotest.(check int) "int arg" 3
-        (Option.get (An.Trace_reader.int_arg "txns" ev));
-      Alcotest.(check (float 1e-9)) "float arg" 0.25
-        (Option.get (An.Trace_reader.float_arg "lat" ev));
-      Alcotest.(check (float 1e-9)) "timestamp" 0.123456789 ev.Trace.ts;
-      Alcotest.(check int) "seqno" 11 ev.Trace.seqno;
-      Alcotest.(check int) "view" 2 ev.Trace.view
-  | Ok evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-  (* The escaped line itself never contains a raw non-printable byte. *)
-  String.iter
-    (fun c ->
-      if (Char.code c < 0x20 && c <> '\n') || Char.code c >= 0x7f then
-        Alcotest.failf "raw byte 0x%02x leaked into JSONL" (Char.code c))
-    line
-
-(* ------------------------------------------------------------------ *)
 (* Determinism: same seed, byte-identical reports                       *)
 
 let test_report_determinism () =
@@ -328,11 +291,6 @@ let () =
       );
       ( "protocols",
         List.map protocol_breakdown_test E.all_protocols );
-      ( "json",
-        [
-          Alcotest.test_case "hostile-string round trip" `Quick
-            test_hostile_json_roundtrip;
-        ] );
       ( "determinism",
         [
           Alcotest.test_case "same-seed byte-identical reports" `Slow

@@ -561,7 +561,7 @@ let test_heartbeat_determinism () =
     Ch.run_sweep ~horizon:1.0 ~drain:0.6 ~heartbeat_interval:0.1 ~jobs ~seeds
       ()
     |> List.map (fun (seed, o) ->
-           (seed, Live.Heartbeat.strip_unstable o.Ch.heartbeats))
+           (seed, Poe_obs.Json.strip_unstable_text o.Ch.heartbeats))
   in
   let seq = sweep 1 and par = sweep 4 in
   List.iter2

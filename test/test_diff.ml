@@ -5,7 +5,7 @@
    structured outcomes, never exceptions or false divergences. *)
 
 module Trace = Poe_obs.Trace
-module Json = Poe_analysis.Json
+module Json = Poe_obs.Json
 module Td = Poe_diff.Trace_diff
 module Md = Poe_diff.Metric_diff
 module Bt = Poe_diff.Bench_trend
@@ -120,11 +120,6 @@ let test_trace_strict_prefix () =
       Alcotest.(check int) "index = common length" (List.length b) d.Td.d_index
   | o -> Alcotest.failf "expected event-count divergence, got: %s" (Td.render o)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
 let jsonl_of events =
   let b = Buffer.create 1024 in
   Trace.export_jsonl_events events b;
@@ -142,15 +137,15 @@ let test_trace_files_midline_garbage () =
          (fun l -> if l = List.nth lines 3 then [ {|{"ts":0.0,"node|}; l ] else [ l ])
          lines)
   in
-  write_file pa torn;
-  write_file pb (jsonl_of a);
+  Result.get_ok (Json.write_file pa torn);
+  Result.get_ok (Json.write_file pb (jsonl_of a));
   (match Td.diff_files pa pb with
   | Ok (Td.Identical _) -> ()
   | Ok o -> Alcotest.failf "expected identical after skip, got: %s" (Td.render o)
   | Error e -> Alcotest.failf "unexpected error: %s" e);
   (* A file where nothing parses is a structured error, not an exception. *)
   let pg = "diff_garbage_only.jsonl" in
-  write_file pg "not json at all\nstill not json\n";
+  Result.get_ok (Json.write_file pg "not json at all\nstill not json\n");
   match Td.diff_files pg pb with
   | Error _ -> ()
   | Ok o -> Alcotest.failf "expected error on garbage file, got: %s" (Td.render o)
@@ -268,10 +263,11 @@ let fresh_trend_dir =
 let add_snapshot dir name ~wallclock_doc ~payload_doc =
   let sub = Filename.concat dir name in
   if not (Sys.file_exists sub) then Sys.mkdir sub 0o755;
-  write_file (Filename.concat sub "BENCH_wallclock.json") wallclock_doc;
-  match payload_doc with
-  | Some p -> write_file (Filename.concat sub "BENCH_fig1.json") p
-  | None -> ()
+  let write name doc =
+    Result.get_ok (Json.write_file (Filename.concat sub name) doc)
+  in
+  write "BENCH_wallclock.json" wallclock_doc;
+  Option.iter (write "BENCH_fig1.json") payload_doc
 
 let analyze dir =
   match Result.bind (Bt.load_dir dir) (Bt.analyze ~dir) with
@@ -366,7 +362,8 @@ let test_trend_hostile_inputs () =
   | Ok _ -> Alcotest.fail "empty trend dir must error");
   let sub = Filename.concat dir "0001" in
   Sys.mkdir sub 0o755;
-  write_file (Filename.concat sub "BENCH_wallclock.json") "torn write{{{";
+  Result.get_ok
+    (Json.write_file (Filename.concat sub "BENCH_wallclock.json") "torn write{{{");
   match Bt.load_dir dir with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed wallclock must error"

@@ -11,7 +11,7 @@ module Flight = Poe_live.Flight
 module Metrics = Poe_obs.Metrics
 module Trace = Poe_obs.Trace
 module Engine = Poe_simnet.Engine
-module Json = Poe_analysis.Json
+module Json = Poe_obs.Json
 
 let sample ?(seq = 0) ?(ts = 0.1) () =
   {
@@ -41,12 +41,6 @@ let sample ?(seq = 0) ?(ts = 0.1) () =
     hb_deltas = [ ("client.completed", 55); ("net.msgs_sent", 210) ];
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* ------------------------------------------------------------------ *)
 (* Heartbeat serialization                                             *)
 
@@ -60,27 +54,11 @@ let test_heartbeat_line () =
   let with_wall = Heartbeat.line_of_sample ~wall:1234.5 (sample ()) in
   Alcotest.(check bool) "wall line differs" true (with_wall <> line);
   Alcotest.(check string) "strip restores stable form" line
-    (Heartbeat.strip_unstable with_wall)
-
-let test_strip_unstable_edges () =
-  (* An unstable member can also lead an object (manifest-style). *)
-  Alcotest.(check string) "leading member stripped" "{\"x\":1}"
-    (Heartbeat.strip_unstable
-       "{\"wall\":{\"unstable\":true,\"value\":9.5},\"x\":1}");
-  Alcotest.(check string) "lone member leaves empty object" "{}"
-    (Heartbeat.strip_unstable "{\"wall\":{\"unstable\":true,\"value\":9.5}}");
-  (* Strings containing the marker text are not mangled. *)
-  let s = "{\"k\":\"a {\\\"unstable\\\":true} b\"}" in
-  Alcotest.(check string) "marker inside string survives" s
-    (Heartbeat.strip_unstable s);
-  (* Stable lines pass through untouched. *)
-  let stable = Heartbeat.line_of_sample (sample ()) in
-  Alcotest.(check string) "stable line unchanged" stable
-    (Heartbeat.strip_unstable stable)
+    (Json.strip_unstable_text with_wall)
 
 let test_heartbeat_roundtrip_json () =
-  (* The analysis JSON parser must read heartbeat lines back — the same
-     parser poe_sim analyze uses for trace lines. *)
+  (* Json.parse must read heartbeat lines back — the same parser
+     poe_sim analyze uses for trace lines. *)
   let line = Heartbeat.line_of_sample ~wall:42.0 (sample ()) in
   match Json.parse (String.trim line) with
   | Error e -> Alcotest.failf "heartbeat line does not parse: %s" e
@@ -204,15 +182,11 @@ let test_metrics_snapshot_delta () =
   let reg = Metrics.create () in
   Metrics.incr ~by:5 (Metrics.counter reg "a");
   Metrics.incr ~by:3 (Metrics.counter reg "b");
-  Metrics.set (Metrics.gauge reg "g") 2.5;
   let older = Metrics.snapshot reg in
   Alcotest.(check (list (pair string int)))
     "snapshot counters"
     [ ("a", 5); ("b", 3) ]
     (Metrics.snapshot_counters older);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "snapshot gauges" [ ("g", 2.5) ]
-    (Metrics.snapshot_gauges older);
   Metrics.incr ~by:2 (Metrics.counter reg "b");
   Metrics.incr ~by:7 (Metrics.counter reg "c");
   let newer = Metrics.snapshot reg in
@@ -287,7 +261,9 @@ let test_flight_bundle () =
         (Sys.file_exists (Filename.concat dir name)))
     files;
   Alcotest.(check bool) "manifest listed" true (List.mem "manifest.json" files);
-  let manifest = read_file (Filename.concat dir "manifest.json") in
+  let manifest =
+    Result.get_ok (Json.read_file (Filename.concat dir "manifest.json"))
+  in
   (match Json.parse (String.trim manifest) with
   | Error e -> Alcotest.failf "manifest does not parse: %s" e
   | Ok m ->
@@ -312,7 +288,7 @@ let test_flight_bundle () =
       | _ -> Alcotest.fail "manifest files not an array");
   (* Stripping the unstable wall field leaves valid, wall-free JSON —
      the byte-comparison form for same-seed bundle diffing. *)
-  let stripped = Heartbeat.strip_unstable manifest in
+  let stripped = Json.strip_unstable_text manifest in
   Alcotest.(check bool) "strip removes the wall field" true
     (String.length stripped < String.length manifest);
   (match Json.parse (String.trim stripped) with
@@ -321,7 +297,8 @@ let test_flight_bundle () =
   | Error e -> Alcotest.failf "stripped manifest does not parse: %s" e);
   let trace_lines =
     String.split_on_char '\n'
-      (String.trim (read_file (Filename.concat dir "trace.jsonl")))
+      (String.trim
+         (Result.get_ok (Json.read_file (Filename.concat dir "trace.jsonl"))))
   in
   Alcotest.(check int) "all trace events exported" 10 (List.length trace_lines);
   List.iter
@@ -332,7 +309,7 @@ let test_flight_bundle () =
     trace_lines;
   Alcotest.(check string) "heartbeats dumped verbatim"
     (Heartbeat.tail_jsonl hb)
-    (read_file (Filename.concat dir "heartbeats.jsonl"))
+    (Result.get_ok (Json.read_file (Filename.concat dir "heartbeats.jsonl")))
 
 let test_flight_window_bound () =
   let dir = fresh_dir "windowed" in
@@ -347,7 +324,8 @@ let test_flight_window_bound () =
        ~events:(Trace.events tr) ~heartbeats:"" ~state:"" ());
   let lines =
     String.split_on_char '\n'
-      (String.trim (read_file (Filename.concat dir "trace.jsonl")))
+      (String.trim
+         (Result.get_ok (Json.read_file (Filename.concat dir "trace.jsonl"))))
   in
   Alcotest.(check int) "trace capped at the window" Flight.trace_window
     (List.length lines)
@@ -389,8 +367,6 @@ let () =
         [
           Alcotest.test_case "byte-stable line + unstable wall" `Quick
             test_heartbeat_line;
-          Alcotest.test_case "strip_unstable edge cases" `Quick
-            test_strip_unstable_edges;
           Alcotest.test_case "JSON round-trip via analysis parser" `Quick
             test_heartbeat_roundtrip_json;
           Alcotest.test_case "retention: full stream + bounded tail" `Quick

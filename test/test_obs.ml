@@ -1,11 +1,14 @@
 (* Tests for the observability layer (lib/obs): histogram quantiles
-   against a brute-force oracle, trace ring-buffer wraparound, Chrome
-   trace export well-formedness (checked with a small JSON parser), and
-   an end-to-end PoE run asserting the per-slot phase span structure
-   and byte-identical exports across same-seed runs. *)
+   against a brute-force oracle, trace ring-buffer wraparound, the
+   emitters' allocation-free off path, Chrome and JSONL export
+   well-formedness, the Json module (byte-exact string round trips,
+   both unstable strips, integer range, file errors), and an end-to-end
+   PoE run asserting the per-slot phase span structure and
+   byte-identical exports across same-seed runs. *)
 
 module Trace = Poe_obs.Trace
 module Metrics = Poe_obs.Metrics
+module Json = Poe_obs.Json
 module R = Poe_runtime
 module Config = R.Config
 module Cluster = Poe_harness.Cluster
@@ -93,142 +96,36 @@ let test_disabled_emitters_are_noops () =
   Metrics.cincr "c";
   Metrics.hobs "h" 1.0
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON parser (no JSON library in the image), used to check
-   the Chrome export is well-formed.                                   *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
+(* With no sink and no registry installed every emitter is one load and
+   branch, so constant-argument calls allocate nothing. The slack is the
+   one test_simnet's engine test allows for the box [Gc.minor_words]
+   returns. *)
+let test_off_path_allocates_nothing () =
+  Trace.clear ();
+  Metrics.clear_current ();
+  let n = 100_000 in
+  let calls () =
+    for _ = 1 to n do
+      Trace.instant ~ts:0.5 ~node:1 ~cat:"x" "e";
+      Trace.phase ~ts:0.5 ~node:1 ~cat:"x" ~view:0 ~seqno:3 "p";
+      ignore (Trace.slot_done ~ts:0.5 ~node:1 ~view:0 ~seqno:3);
+      Metrics.cincr "c";
+      Metrics.hobs "h" 0.25
     done
   in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    if !pos + String.length lit <= len && String.sub s !pos (String.length lit) = lit
-    then begin
-      pos := !pos + String.length lit;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; loop ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; loop ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; loop ()
-          | Some '"' -> advance (); Buffer.add_char b '"'; loop ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; loop ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; loop ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > len then fail "bad \\u escape";
-              pos := !pos + 4;
-              Buffer.add_char b '?';
-              loop ()
-          | _ -> fail "bad escape")
-      | Some c -> advance (); Buffer.add_char b c; loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < len
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); J_obj [] end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); J_obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); J_arr [] end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elems (v :: acc)
-            | Some ']' -> advance (); J_arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elems []
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> literal "true" (J_bool true)
-    | Some 'f' -> literal "false" (J_bool false)
-    | Some 'n' -> literal "null" J_null
-    | Some _ -> J_num (parse_number ())
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
+  calls ();
+  let before = Gc.minor_words () in
+  calls ();
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 0.001 then
+    Alcotest.failf "%.4f minor words per round of five calls, floor is 0" words
 
-let obj_field name = function
-  | J_obj fields -> List.assoc_opt name fields
-  | _ -> None
+let parse_ok s =
+  match Json.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "does not parse: %s" e
 
-let obj_str name j =
-  match obj_field name j with Some (J_str s) -> Some s | _ -> None
+let obj_str name j = Option.bind (Json.member name j) Json.to_string
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export well-formedness on a synthetic trace                  *)
@@ -248,10 +145,10 @@ let test_chrome_export_wellformed () =
   Trace.clear ();
   let buf = Buffer.create 1024 in
   Trace.export_chrome tr buf;
-  let j = parse_json (Buffer.contents buf) in
+  let j = parse_ok (Buffer.contents buf) in
   let events =
-    match obj_field "traceEvents" j with
-    | Some (J_arr l) -> l
+    match Json.member "traceEvents" j with
+    | Some (Json.Arr l) -> l
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let phs = List.filter_map (obj_str "ph") events in
@@ -266,8 +163,8 @@ let test_chrome_export_wellformed () =
     (fun ev ->
       match obj_str "ph" ev with
       | Some ("b" | "e") ->
-          (match obj_field "id2" ev with
-          | Some (J_obj [ ("local", J_str _) ]) -> ()
+          (match Json.member "id2" ev with
+          | Some (Json.Obj [ ("local", Json.Str _) ]) -> ()
           | _ -> Alcotest.fail "async event without local id2")
       | _ -> ())
     events
@@ -287,10 +184,137 @@ let test_jsonl_export_parses () =
   Alcotest.(check int) "one line per event" 3 (List.length lines);
   List.iter
     (fun line ->
-      match parse_json line with
-      | J_obj _ -> ()
+      match parse_ok line with
+      | Json.Obj _ -> ()
       | _ -> Alcotest.fail "jsonl line is not an object")
     lines
+
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+let hostile = "\x00\x1f\x7f\x80\xffplain \"quoted\" back\\slash\nnewline\ttab"
+
+let check_printable what s =
+  String.iter
+    (fun c ->
+      if (Char.code c < 0x20 && c <> '\n') || Char.code c >= 0x7f then
+        Alcotest.failf "raw byte 0x%02x leaked into %s" (Char.code c) what)
+    s
+
+let test_hostile_json_roundtrip () =
+  (* Every byte value survives escape -> parse, as a value and as a key,
+     and the escaped form is printable ASCII. *)
+  let all_bytes = String.init 256 Char.chr in
+  let quoted = Json.quote all_bytes in
+  check_printable "the escaped string" quoted;
+  (match parse_ok quoted with
+  | Json.Str s -> Alcotest.(check string) "256 bytes byte-exact" all_bytes s
+  | _ -> Alcotest.fail "not a string");
+  String.iter
+    (fun c ->
+      let s = String.make 1 c in
+      match parse_ok (Printf.sprintf "{%s:%s}" (Json.quote s) (Json.quote s)) with
+      | Json.Obj [ (k, Json.Str v) ] when k = s && v = s -> ()
+      | _ -> Alcotest.failf "byte 0x%02x does not round-trip" (Char.code c))
+    all_bytes;
+  (* The same holds through a trace export and the analysis reader. *)
+  let tr = Trace.create () in
+  Trace.set tr;
+  Trace.instant ~ts:0.123456789 ~node:0 ~cat:"exec" ~view:2 ~seqno:11
+    ~args:
+      [
+        ("digest", Trace.S hostile); ("result", Trace.S "ok");
+        ("txns", Trace.I 3); ("lat", Trace.F 0.25);
+      ]
+    "executed";
+  Trace.clear ();
+  let buf = Buffer.create 256 in
+  Trace.export_jsonl tr buf;
+  let line = Buffer.contents buf in
+  let module R = Poe_analysis.Trace_reader in
+  (match R.events_of_jsonl line with
+  | Error e -> Alcotest.failf "reader rejected exporter output: %s" e
+  | Ok [ ev ] ->
+      Alcotest.(check string) "hostile digest byte-exact" hostile
+        (Option.get (R.str_arg "digest" ev));
+      Alcotest.(check int) "int arg" 3 (Option.get (R.int_arg "txns" ev));
+      Alcotest.(check (float 1e-9)) "float arg" 0.25
+        (Option.get (R.float_arg "lat" ev));
+      Alcotest.(check (float 1e-9)) "timestamp" 0.123456789 ev.Trace.ts;
+      Alcotest.(check int) "seqno" 11 ev.Trace.seqno;
+      Alcotest.(check int) "view" 2 ev.Trace.view
+  | Ok evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
+  check_printable "JSONL" line
+
+let test_strip_unstable_value () =
+  let doc =
+    parse_ok
+      {|{"a":{"wall":{"unstable":true,"value":1.5},"n":1},
+         "xs":[{"t":{"unstable":true,"value":2},"k":2},3],
+         "gc":{"unstable":true,"minor":4},
+         "keep":{"unstable":false,"value":5}}|}
+  in
+  let expected =
+    parse_ok
+      {|{"a":{"n":1},"xs":[{"k":2},3],"keep":{"unstable":false,"value":5}}|}
+  in
+  Alcotest.(check bool) "nested members and array elements stripped, false kept"
+    true
+    (Json.strip_unstable doc = expected);
+  Alcotest.(check (option (float 0.0))) "unstable value read" (Some 1.5)
+    (Json.unstable_value (parse_ok (Json.unstable 1.5)));
+  Alcotest.(check (option (float 0.0))) "plain number read" (Some 2.0)
+    (Json.unstable_value (Json.Int 2))
+
+let test_strip_unstable_edges () =
+  (* An unstable member can also lead an object (manifest-style). *)
+  Alcotest.(check string) "leading member stripped" "{\"x\":1}"
+    (Json.strip_unstable_text
+       "{\"wall\":{\"unstable\":true,\"value\":9.5},\"x\":1}");
+  Alcotest.(check string) "lone member leaves empty object" "{}"
+    (Json.strip_unstable_text "{\"wall\":{\"unstable\":true,\"value\":9.5}}");
+  (* Strings containing the marker text are not mangled. *)
+  let s = "{\"k\":\"a {\\\"unstable\\\":true} b\"}" in
+  Alcotest.(check string) "marker inside string survives" s
+    (Json.strip_unstable_text s);
+  (* Stable lines pass through untouched. *)
+  let stable = "{\"hb\":0,\"ts\":0.100000000,\"deltas\":{\"net.msgs_sent\":210}}\n" in
+  Alcotest.(check string) "stable line unchanged" stable
+    (Json.strip_unstable_text stable)
+
+let test_to_int_range () =
+  let two62 = Float.ldexp 1.0 62 in
+  List.iter
+    (fun (what, f, expected) ->
+      Alcotest.(check (option int)) what expected (Json.to_int (Json.Float f)))
+    [
+      ("1e300", 1e300, None);
+      ("2^62", two62, None);
+      ("-2^62 - 2^11", -.two62 -. Float.ldexp 1.0 11, None);
+      ("-2^62", -.two62, Some min_int);
+      ("nan", Float.nan, None);
+      ("3.0", 3.0, Some 3);
+      ("3.5", 3.5, None);
+    ]
+
+let test_file_errors () =
+  let dir = "json_file_errors" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let is_error = function Ok _ -> false | Error _ -> true in
+  Alcotest.(check bool) "read_file on a directory" true
+    (is_error (Json.read_file dir));
+  Alcotest.(check bool) "read_file on a missing file" true
+    (is_error (Json.read_file (Filename.concat dir "missing")));
+  Alcotest.(check bool) "write_file into a missing directory" true
+    (is_error (Json.write_file (Filename.concat dir "no/such/file") "x"));
+  Alcotest.(check bool) "trace reader on a directory" true
+    (is_error (Poe_analysis.Trace_reader.load_file dir));
+  Alcotest.(check bool) "diff traces on directories" true
+    (is_error (Poe_diff.Trace_diff.diff_files dir dir));
+  let path = Filename.concat dir "f.json" in
+  Alcotest.(check bool) "write_file" true (Json.write_file path "{}\n" = Ok ());
+  Alcotest.(check (result string string)) "read back" (Ok "{}\n")
+    (Json.read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a PoE cluster emits nested slot/phase spans             *)
@@ -409,10 +433,23 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "disabled no-ops" `Quick
             test_disabled_emitters_are_noops;
+          Alcotest.test_case "observability off allocates nothing" `Quick
+            test_off_path_allocates_nothing;
           Alcotest.test_case "chrome export well-formed" `Quick
             test_chrome_export_wellformed;
           Alcotest.test_case "jsonl export parses" `Quick
             test_jsonl_export_parses;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "hostile-string round trip" `Quick
+            test_hostile_json_roundtrip;
+          Alcotest.test_case "value-level strip_unstable" `Quick
+            test_strip_unstable_value;
+          Alcotest.test_case "strip_unstable edge cases" `Quick
+            test_strip_unstable_edges;
+          Alcotest.test_case "to_int range" `Quick test_to_int_range;
+          Alcotest.test_case "file errors are results" `Quick test_file_errors;
         ] );
       ( "end-to-end",
         [

@@ -168,11 +168,6 @@ let test_fig11_deterministic_across_jobs () =
 let test_chaos_sweep_deterministic_across_jobs () =
   let module Ch = Poe_chaos.Runner.Make (Poe_pbft.Pbft_protocol) in
   let seeds = [ 11; 12; 13; 14 ] in
-  let jstr s =
-    let b = Buffer.create (String.length s + 2) in
-    Trace.escape_json b s;
-    Buffer.contents b
-  in
   (* One JSON summary line per seed plus each run's heartbeat stream —
      the heartbeats' unstable-tagged wall fields are stripped by the
      diff, everything else must match to the byte. *)
@@ -189,8 +184,8 @@ let test_chaos_sweep_deterministic_across_jobs () =
                "{\"seed\":%d,\"schedule\":%s,\"verdict\":%s,\"completed\":%d,\
                 \"samples\":%d}\n"
                seed
-               (jstr (Poe_chaos.Schedule.to_string o.Ch.schedule))
-               (jstr (Ch.verdict o)) o.Ch.completed o.Ch.samples)
+               (Poe_obs.Json.quote (Poe_chaos.Schedule.to_string o.Ch.schedule))
+               (Poe_obs.Json.quote (Ch.verdict o)) o.Ch.completed o.Ch.samples)
            outcomes)
     in
     let heartbeats =

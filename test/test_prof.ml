@@ -1,11 +1,11 @@
 (* The self-profiling subsystem: deterministic hot-path counters (merged
    across pool domains), nested-region self/total attribution, the
    folded-stack escaping contract, and the BENCH_wallclock.json artifact
-   read back through the analysis JSON parser. *)
+   read back through Poe_obs.Json. *)
 
 module Prof = Poe_prof.Prof
 module E = Poe_harness.Experiments
-module Json = Poe_analysis.Json
+module Json = Poe_obs.Json
 
 let counters_repr () =
   Prof.counters () |> Array.to_list
@@ -175,20 +175,6 @@ let test_folded_escaping () =
 (* ------------------------------------------------------------------ *)
 (* BENCH_wallclock.json round trip                                     *)
 
-(* Strip every object member whose value is tagged "unstable": what the
-   CI regression check compares must survive unchanged. *)
-let rec strip_unstable = function
-  | Json.Obj fields ->
-      Json.Obj
-        (List.filter_map
-           (fun (k, v) ->
-             match v with
-             | Json.Obj fs when List.mem_assoc "unstable" fs -> None
-             | _ -> Some (k, strip_unstable v))
-           fields)
-  | Json.Arr xs -> Json.Arr (List.map strip_unstable xs)
-  | x -> x
-
 let test_wallclock_roundtrip () =
   let figs =
     [
@@ -212,7 +198,7 @@ let test_wallclock_roundtrip () =
   match Json.parse doc with
   | Error e -> Alcotest.failf "wallclock json does not parse: %s" e
   | Ok j -> (
-      let stripped = strip_unstable j in
+      let stripped = Json.strip_unstable j in
       match Json.member "figures" stripped with
       | Some (Json.Arr [ fig ]) ->
           Alcotest.(check bool) "wall_s stripped" true
