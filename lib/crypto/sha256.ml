@@ -1,34 +1,19 @@
-(* SHA-256 per FIPS 180-4. 32-bit words are kept in native ints masked to 32
-   bits; OCaml's 63-bit ints make the arithmetic straightforward.
+(* SHA-256 per FIPS 180-4. The compression function is one C99 kernel
+   (sha256_stubs.c); padding, streaming and midstates live here. The 8
+   chain words are kept in an int array, each masked to 32 bits.
 
    The hot path is allocation-free: [feed] compresses whole 64-byte blocks
-   straight out of the input string (no staging buffer), and [finalize] pads
-   in place inside the context's block buffer. *)
+   straight out of the input string (no staging buffer), [feed_int] and
+   [feed_hex] write their characters into the block buffer instead of
+   building a string, and [finalize] pads in place inside that buffer. *)
 
 let digest_size = 32
-
-let mask = 0xFFFFFFFF
-
-let k = [|
-  0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-  0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-  0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-  0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-  0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-  0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-  0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-  0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-  0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-  0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-  0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-|]
 
 type ctx = {
   h : int array;              (* 8 chain words *)
   buf : Bytes.t;              (* 64-byte block buffer *)
   mutable buf_len : int;      (* bytes currently in [buf] *)
   mutable total : int;        (* total message bytes fed *)
-  w : int array;              (* 64-entry message schedule, reused *)
 }
 
 let iv = [|
@@ -36,81 +21,25 @@ let iv = [|
   0x1f83d9ab; 0x5be0cd19;
 |]
 
-let init () =
-  {
-    h = Array.copy iv;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+(* A fresh context continuing from chain value [h] after [total] bytes. *)
+let start h total =
+  { h = Array.copy h; buf = Bytes.create 64; buf_len = 0; total }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let init () = start iv 0
 
-(* The 64 rounds over an already-loaded schedule [ctx.w]. *)
-let rounds ctx =
+external compress_kernel : int array -> string -> int -> unit
+  = "poe_sha256_compress"
+[@@noalloc]
+
+(* Fold the 64 bytes of [s] at [off] into [h]. The block counter stays on
+   this side of the kernel, so it counts every block exactly. *)
+let compress h s off =
   Poe_prof.Prof.(bump ix_sha256_blocks);
-  let w = ctx.w in
-  for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  compress_kernel h s off
 
-let compress_bytes ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (j + 3))
-  done;
-  rounds ctx
-
-let compress_string ctx s off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (String.unsafe_get s j) lsl 24)
-      lor (Char.code (String.unsafe_get s (j + 1)) lsl 16)
-      lor (Char.code (String.unsafe_get s (j + 2)) lsl 8)
-      lor Char.code (String.unsafe_get s (j + 3))
-  done;
-  rounds ctx
+let compress_buf ctx =
+  compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0;
+  ctx.buf_len <- 0
 
 let feed ctx s =
   let len = String.length s in
@@ -122,14 +51,11 @@ let feed ctx s =
     Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
-    if ctx.buf_len = 64 then begin
-      compress_bytes ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
+    if ctx.buf_len = 64 then compress_buf ctx
   end;
   (* Whole blocks straight from the input — no staging copy. *)
   while len - !pos >= 64 do
-    compress_string ctx s !pos;
+    compress ctx.h s !pos;
     pos := !pos + 64
   done;
   (* Stash the tail. *)
@@ -139,6 +65,34 @@ let feed ctx s =
     ctx.buf_len <- ctx.buf_len + rest
   end
 
+let feed_char ctx c =
+  Bytes.unsafe_set ctx.buf ctx.buf_len c;
+  ctx.total <- ctx.total + 1;
+  ctx.buf_len <- ctx.buf_len + 1;
+  if ctx.buf_len = 64 then compress_buf ctx
+
+(* The decimal digits of [-n] for [n <= 0], most significant first.
+   Working on the non-positive side reaches [min_int] without overflow. *)
+let rec feed_digits ctx n =
+  if n <= -10 then feed_digits ctx (n / 10);
+  feed_char ctx (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let feed_int ctx n =
+  if n < 0 then begin
+    feed_char ctx '-';
+    feed_digits ctx n
+  end
+  else feed_digits ctx (-n)
+
+let hex_chars = "0123456789abcdef"
+
+let feed_hex ctx s =
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    feed_char ctx (String.unsafe_get hex_chars (c lsr 4));
+    feed_char ctx (String.unsafe_get hex_chars (c land 0xF))
+  done
+
 let finalize ctx =
   let bits = ctx.total * 8 in
   (* Pad in place inside [ctx.buf]: 0x80, zeros, and the 64-bit big-endian
@@ -147,15 +101,14 @@ let finalize ctx =
   Bytes.set ctx.buf len '\x80';
   if len + 1 > 56 then begin
     Bytes.fill ctx.buf (len + 1) (64 - len - 1) '\000';
-    compress_bytes ctx ctx.buf 0;
+    compress_buf ctx;
     Bytes.fill ctx.buf 0 56 '\000'
   end
   else Bytes.fill ctx.buf (len + 1) (56 - len - 1) '\000';
   for i = 0 to 7 do
     Bytes.set ctx.buf (56 + i) (Char.chr ((bits lsr ((7 - i) * 8)) land 0xFF))
   done;
-  compress_bytes ctx ctx.buf 0;
-  ctx.buf_len <- 0;
+  compress_buf ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
@@ -171,11 +124,6 @@ let digest s =
   feed ctx s;
   finalize ctx
 
-let digest_list parts =
-  let ctx = init () in
-  List.iter (feed ctx) parts;
-  finalize ctx
-
 (* Midstates: the chain value after absorbing exactly one 64-byte block.
    HMAC's inner/outer padded key blocks are fixed per key, so callers can
    compress them once and resume per message. *)
@@ -185,20 +133,11 @@ type midstate = int array
 let midstate_of_block block =
   if String.length block <> 64 then
     invalid_arg "Sha256.midstate_of_block: block must be 64 bytes";
-  let ctx = init () in
-  compress_string ctx block 0;
-  ctx.h
+  let h = Array.copy iv in
+  compress h block 0;
+  h
 
-let resume ms =
-  {
-    h = Array.copy ms;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 64;
-    w = Array.make 64 0;
-  }
-
-let hex_chars = "0123456789abcdef"
+let resume ms = start ms 64
 
 let to_hex s =
   let n = String.length s in

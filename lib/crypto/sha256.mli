@@ -1,8 +1,13 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch on native integers.
+(** SHA-256 (FIPS 180-4), implemented from scratch.
 
     The paper's ResilientDB fabric uses SHA256 for message digests and for
     hash-chaining ledger blocks; this module provides the same primitive for
     our {!Poe_ledger} and for HMAC-based authentication ({!Hmac}).
+
+    The compression function is one portable C99 kernel
+    ([sha256_stubs.c]), called without allocating; padding, streaming and
+    midstates stay in OCaml, and so does the per-block
+    [crypto.sha256_blocks] counter.
 
     Digests are returned as raw 32-byte strings; use {!to_hex} for display. *)
 
@@ -12,15 +17,19 @@ type ctx
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 
+val feed_int : ctx -> int -> unit
+(** [feed_int ctx n] feeds the bytes of [string_of_int n] (negatives and
+    [min_int] included) without building the string. *)
+
+val feed_hex : ctx -> string -> unit
+(** [feed_hex ctx s] feeds the bytes of [to_hex s] without building the
+    string. *)
+
 val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be reused afterwards. *)
 
 val digest : string -> string
 (** One-shot hash of a full message: 32 raw bytes. *)
-
-val digest_list : string list -> string
-(** Hash of the concatenation of the given strings, without building the
-    concatenation. *)
 
 (** {1 Midstates}
 

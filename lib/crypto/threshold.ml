@@ -3,6 +3,10 @@ type scheme = {
   threshold : int;
   master : Gf61.t;            (* verification key: σ must equal master·H(m) *)
   key_shares : Gf61.t array;  (* dealer copy, used to verify shares *)
+  inverses : Gf61.t array;
+      (* [inverses.(d)] is 1/d for 0 < d < n once computed, zero before:
+         signer i sits at point i+1, so every Lagrange denominator
+         x_j - x_i is a signed difference of at most n-1. *)
 }
 
 type signer = { index : int; key : Gf61.t }
@@ -26,7 +30,9 @@ let setup ~n ~threshold ~seed =
   let master = rand () in
   let shares = Shamir.split ~secret:master ~threshold ~shares:n ~rand in
   let key_shares = Array.map (fun (s : Shamir.share) -> s.value) shares in
-  let scheme = { n; threshold; master; key_shares } in
+  let scheme =
+    { n; threshold; master; key_shares; inverses = Array.make n Gf61.zero }
+  in
   let signers =
     Array.init n (fun i -> { index = i; key = key_shares.(i) })
   in
@@ -47,6 +53,7 @@ let sign_share signer msg =
   { share_index = signer.index; value = Gf61.mul signer.key (hash_to_field msg) }
 
 let share_index s = s.share_index
+let share_value s = s.value
 
 (* [h] is [hash_to_field msg]. *)
 let share_valid scheme h share =
@@ -56,6 +63,20 @@ let share_valid scheme h share =
 
 let verify_share scheme ~msg share =
   share_valid scheme (hash_to_field msg) share
+
+(* 1/d for 0 < |d| < n, filled on first use; 1/(-d) = -(1/d). *)
+let inv_diff scheme d =
+  let a = abs d in
+  let v = scheme.inverses.(a) in
+  let v =
+    if Gf61.equal v Gf61.zero then begin
+      let v = Gf61.inv (Gf61.of_int a) in
+      scheme.inverses.(a) <- v;
+      v
+    end
+    else v
+  in
+  if d < 0 then Gf61.neg v else v
 
 let combine scheme ~msg shares =
   let distinct =
@@ -72,16 +93,29 @@ let combine scheme ~msg shares =
     not (List.for_all (share_valid scheme h) shares)
   then Error "invalid share in set"
   else begin
-    (* Shamir indices are 1-based; signer i holds the share at point i+1. *)
-    let points = List.map (fun s -> s.share_index + 1) shares in
-    let lambdas = Shamir.lagrange_at_zero points in
-    let sigma =
-      List.fold_left2
-        (fun acc s lambda -> Gf61.add acc (Gf61.mul lambda s.value))
-        Gf61.zero shares lambdas
+    (* σ = Σ_i λ_i · s_i with λ_i = Π_{j≠i} x_j / (x_j - x_i) and signer i
+       at Shamir point x_i = i+1: [Shamir.lagrange_at_zero] with each
+       division a lookup, so a warm scheme combines without inverting. *)
+    let lambda i =
+      List.fold_left
+        (fun acc s ->
+          let j = s.share_index in
+          if j = i then acc
+          else
+            Gf61.mul acc
+              (Gf61.mul (Gf61.of_int (j + 1)) (inv_diff scheme (j - i))))
+        Gf61.one shares
     in
-    Ok sigma
+    Ok
+      (List.fold_left
+         (fun acc s -> Gf61.add acc (Gf61.mul (lambda s.share_index) s.value))
+         Gf61.zero shares)
   end
+
+let cached_inverses scheme =
+  Array.fold_left
+    (fun n v -> if Gf61.equal v Gf61.zero then n else n + 1)
+    0 scheme.inverses
 
 let verify scheme ~msg sigma =
   Gf61.equal sigma (Gf61.mul scheme.master (hash_to_field msg))

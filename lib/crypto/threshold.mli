@@ -42,6 +42,9 @@ val sign_share : signer -> string -> share
 
 val share_index : share -> int
 
+val share_value : share -> Gf61.t
+(** The share's field element: what a signer puts on the wire. *)
+
 val verify_share : scheme -> msg:string -> share -> bool
 (** Check one share before combining (the primary does this on every
     SUPPORT message so a byzantine replica cannot poison the aggregate). *)
@@ -49,7 +52,16 @@ val verify_share : scheme -> msg:string -> share -> bool
 val combine : scheme -> msg:string -> share list -> (signature, string) result
 (** Combine at least [threshold] valid shares from distinct signers into a
     signature on [msg]. Returns [Error _] if there are too few shares,
-    duplicate signers, or any invalid share. *)
+    duplicate signers, or any invalid share. The Lagrange coefficients
+    take their denominators' inverses from a per-scheme table (see
+    {!cached_inverses}), so the result equals [Shamir.reconstruct] over the
+    same shares without a field inversion once the table is warm. *)
+
+val cached_inverses : scheme -> int
+(** How many field inverses {!combine}'s Lagrange table holds: the table
+    fills on demand with 1/d for the signer-point differences [0 < d < n]
+    it meets, so it never exceeds [n - 1] entries, whatever the number of
+    distinct signer sets. *)
 
 val verify : scheme -> msg:string -> signature -> bool
 (** Verify a combined signature against the scheme. *)

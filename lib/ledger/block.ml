@@ -22,7 +22,20 @@ let encode b =
       "|v="; string_of_int b.view; "|d="; Sha256.to_hex b.batch_digest;
       "|p="; Sha256.to_hex b.prev_hash ]
 
-let hash b = Sha256.digest (encode b)
+(* [Sha256.digest (encode b)], fed piece by piece instead of formatting. *)
+let hash b =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx "h=";
+  Sha256.feed_int ctx b.height;
+  Sha256.feed ctx "|k=";
+  Sha256.feed_int ctx b.seqno;
+  Sha256.feed ctx "|v=";
+  Sha256.feed_int ctx b.view;
+  Sha256.feed ctx "|d=";
+  Sha256.feed_hex ctx b.batch_digest;
+  Sha256.feed ctx "|p=";
+  Sha256.feed_hex ctx b.prev_hash;
+  Sha256.finalize ctx
 
 let genesis ~initial_primary =
   {

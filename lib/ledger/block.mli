@@ -43,6 +43,8 @@ val make :
   prev:t -> seqno:int -> view:int -> batch_digest:string -> proof:proof -> t
 
 val encode : t -> string
-(** Canonical serialization (what {!hash} hashes); excludes the proof. *)
+(** Canonical serialization, excluding the proof: the specification of what
+    {!hash} hashes. [hash b = Sha256.digest (encode b)], though {!hash}
+    feeds the same bytes without building the string. *)
 
 val pp : Format.formatter -> t -> unit

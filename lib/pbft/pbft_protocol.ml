@@ -328,7 +328,8 @@ module Vc = V.Make (struct
   let state t = t.vc
   let from_view (p : vc_payload) = p.from_view
   let size (p : vc_payload) = List.length p.executed + List.length p.prepared
-  let valid (p : vc_payload) = V.entries_consecutive p.executed
+  let valid (p : vc_payload) =
+    V.entries_consecutive ~upto:p.exec_upto p.executed
   let summarize = my_vc_payload
   let halt _ ~from_view:_ = ()
   let adopt = adopt

@@ -434,7 +434,7 @@ module Vc = V.Make (struct
   let state t = t.vc
   let from_view (p : vc_payload) = p.from_view
   let size (p : vc_payload) = List.length p.entries
-  let valid (p : vc_payload) = V.entries_consecutive p.entries
+  let valid (p : vc_payload) = V.entries_consecutive ~upto:p.exec_upto p.entries
   let summarize = my_vc_payload
   let halt _ ~from_view:_ = ()
   let adopt = adopt

@@ -50,15 +50,13 @@ let batch_of_requests ~materialize reqs =
       let ctx = Sha256.init () in
       Array.iter
         (fun r ->
-          Sha256.feed ctx (string_of_int r.hub);
+          Sha256.feed_int ctx r.hub;
           Sha256.feed ctx ".";
-          Sha256.feed ctx (string_of_int r.client);
+          Sha256.feed_int ctx r.client;
           Sha256.feed ctx ".";
-          Sha256.feed ctx (string_of_int r.rid);
+          Sha256.feed_int ctx r.rid;
           Sha256.feed ctx ":";
-          match r.op with
-          | Some op -> Sha256.feed ctx (Kv_store.encode_op op)
-          | None -> ())
+          match r.op with Some op -> Kv_store.feed_op ctx op | None -> ())
         reqs;
       Sha256.finalize ctx
     end

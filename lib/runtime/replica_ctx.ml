@@ -5,6 +5,7 @@ module Kv_store = Poe_store.Kv_store
 module Undo_log = Poe_store.Undo_log
 module Chain = Poe_ledger.Chain
 module Block = Poe_ledger.Block
+module Sha256 = Poe_crypto.Sha256
 
 (* The executed log: (seqno, digest) pairs in execution order, stored in
    chunks of [chunk_size] that are allocated on first use and never
@@ -220,7 +221,9 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
   let result_digest =
     match (t.store, t.undo) with
     | Some store, Some undo ->
-        let results = ref [] in
+        (* SHA-256 over the batch digest, then each applied result. *)
+        let results = Sha256.init () in
+        Sha256.feed results batch.digest;
         let undos = ref [] in
         Array.iter
           (fun (r : Message.request) ->
@@ -230,7 +233,7 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
                 t.dedup_skips <- t.dedup_skips + 1
             | Some op ->
                 let result, u = Kv_store.apply store op in
-                results := Kv_store.result_to_string result :: !results;
+                Sha256.feed results (Kv_store.result_to_string result);
                 undos := u :: !undos)
           batch.reqs;
         Undo_log.record undo ~seqno (List.rev !undos);
@@ -239,7 +242,7 @@ let execute_batch t ~view ~seqno (batch : Message.batch) ~proof =
             ignore
               (Chain.append chain ~seqno ~view ~batch_digest:batch.digest ~proof)
         | None -> ());
-        Poe_crypto.Sha256.digest_list (batch.digest :: List.rev !results)
+        Sha256.finalize results
     | _ -> batch.digest
   in
   Exec_log.push t.executed seqno batch.digest;

@@ -38,9 +38,10 @@ let active_in t view = (not (in_view_change t)) && view = t.view
 let nv_deadline_for t =
   (Ctx.config t.ctx).Config.view_timeout *. float_of_int (1 lsl min t.round 6)
 
-let entries_consecutive entries =
+let entries_consecutive ~upto entries =
   let rec go = function
-    | [] | [ _ ] -> true
+    | [] -> true
+    | [ (last : Message.exec_entry) ] -> last.Message.e_seqno = upto
     | (a : Message.exec_entry) :: (b :: _ as rest) ->
         b.Message.e_seqno = a.Message.e_seqno + 1 && go rest
   in

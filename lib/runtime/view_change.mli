@@ -65,9 +65,12 @@ val nv_deadline_for : 'c t -> float
 (** The NV timeout for the next view change:
     [view_timeout · 2^min(round, 6)]. *)
 
-val entries_consecutive : Message.exec_entry list -> bool
+val entries_consecutive : upto:int -> Message.exec_entry list -> bool
 (** Certificate validity shared by every protocol: the executed entries
-    of a summary form a consecutive seqno run. *)
+    of a summary form a consecutive seqno run that, when not empty, ends
+    at the summary's [exec_upto] ([upto]). Adopt rules rank summaries by
+    [exec_upto] and Zyzzyva derives each sender's stable checkpoint from
+    it, so a summary may not claim more (or less) than its entries show. *)
 
 val request_nv : 'c t -> src:int -> view:int -> unit
 (** Call on traffic for [view] from [src]: if [view] is beyond ours, ask

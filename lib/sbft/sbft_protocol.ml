@@ -685,7 +685,8 @@ module Vc = V.Make (struct
   let size (p : vc_payload) =
     List.length p.executed + List.length p.certified + List.length p.shared
 
-  let valid (p : vc_payload) = V.entries_consecutive p.executed
+  let valid (p : vc_payload) =
+    V.entries_consecutive ~upto:p.exec_upto p.executed
   let summarize = my_vc_payload
   let halt = halt
   let adopt = adopt

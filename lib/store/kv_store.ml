@@ -1,3 +1,5 @@
+module Sha256 = Poe_crypto.Sha256
+
 type t = {
   table : (string, string) Hashtbl.t;
   mutable content_hash : int;  (* order-independent row fingerprint *)
@@ -98,6 +100,19 @@ let encode_op op =
   | Update (k, v) -> String.concat "" [ "U"; len k; ":"; k; len v; ":"; v ]
   | Insert (k, v) -> String.concat "" [ "I"; len k; ":"; k; len v; ":"; v ]
   | Delete k -> String.concat "" [ "D"; len k; ":"; k ]
+
+(* The same bytes, fed into a hash. *)
+let feed_field ctx s =
+  Sha256.feed_int ctx (String.length s);
+  Sha256.feed ctx ":";
+  Sha256.feed ctx s
+
+let feed_op ctx op =
+  match op with
+  | Read k -> Sha256.feed ctx "R"; feed_field ctx k
+  | Update (k, v) -> Sha256.feed ctx "U"; feed_field ctx k; feed_field ctx v
+  | Insert (k, v) -> Sha256.feed ctx "I"; feed_field ctx k; feed_field ctx v
+  | Delete k -> Sha256.feed ctx "D"; feed_field ctx k
 
 let parse_field s pos =
   match String.index_from_opt s pos ':' with

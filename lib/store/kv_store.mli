@@ -55,7 +55,12 @@ val digest_hint : t -> int
     running content hash, useful in tests to compare replica states. *)
 
 val encode_op : op -> string
-(** Compact wire encoding, also used for digests and size accounting. *)
+(** Compact wire encoding: a 1-char opcode, then each field as its decimal
+    length, [':'] and its bytes. *)
+
+val feed_op : Poe_crypto.Sha256.ctx -> op -> unit
+(** Feed the bytes of [encode_op op] into a hash without building the
+    string (batch digests). *)
 
 val decode_op : string -> op option
 

@@ -311,7 +311,8 @@ module Vc = V.Make (struct
   let size (p : vc_payload) = List.length p.entries
 
   let valid (p : vc_payload) =
-    V.entries_consecutive p.entries && p.cc_upto <= p.exec_upto
+    V.entries_consecutive ~upto:p.exec_upto p.entries
+    && p.cc_upto <= p.exec_upto
 
   let summarize = my_vc_payload
   let halt = halt

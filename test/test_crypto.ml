@@ -71,10 +71,137 @@ let test_sha_streaming_equivalence () =
       Alcotest.(check string) "chunked" (hex expected) (hex (Sha256.finalize ctx)))
     [ [ 1; 2; 3; 500 ]; [ 63 ]; [ 64 ]; [ 65; 1 ]; [ 999 ]; [ 1000 ] ]
 
-let test_sha_digest_list () =
-  Alcotest.(check string) "digest_list = digest of concat"
-    (hex (Sha256.digest "foobarbaz"))
-    (hex (Sha256.digest_list [ "foo"; "bar"; "baz" ]))
+(* The OCaml compression function the C kernel replaced, kept as a
+   test-only reference: one-shot SHA-256 over a fully padded copy of the
+   message. *)
+module Reference = struct
+  let mask = 0xFFFFFFFF
+
+  let k = [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+  |]
+
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let compress h s off =
+    let w = Array.make 64 0 in
+    for i = 0 to 15 do
+      let j = off + (i * 4) in
+      w.(i) <-
+        (Char.code s.[j] lsl 24)
+        lor (Char.code s.[j + 1] lsl 16)
+        lor (Char.code s.[j + 2] lsl 8)
+        lor Char.code s.[j + 3]
+    done;
+    for i = 16 to 63 do
+      let s0 =
+        rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
+      in
+      let s1 =
+        rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
+      in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let t2 = (s0 + maj) land mask in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + t1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (t1 + t2) land mask
+    done;
+    List.iteri
+      (fun i v -> h.(i) <- (h.(i) + v) land mask)
+      [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest msg =
+    let len = String.length msg in
+    let padded = (len + 9 + 63) / 64 * 64 in
+    let b = Bytes.make padded '\000' in
+    Bytes.blit_string msg 0 b 0 len;
+    Bytes.set b len '\x80';
+    for i = 0 to 7 do
+      Bytes.set b (padded - 1 - i) (Char.chr (((len * 8) lsr (8 * i)) land 0xFF))
+    done;
+    let h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+    in
+    for blk = 0 to (padded / 64) - 1 do
+      compress h (Bytes.to_string b) (blk * 64)
+    done;
+    String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+end
+
+let msg_gen = QCheck.(string_of_size Gen.(0 -- 300))
+
+(* Feed [msg] in pieces of the given sizes, each taken mod 70 and clipped
+   to what is left, then the rest as one final piece. *)
+let feed_chunked ctx msg sizes =
+  let pos = ref 0 in
+  List.iter
+    (fun k ->
+      let k = min (k mod 70) (String.length msg - !pos) in
+      Sha256.feed ctx (String.sub msg !pos k);
+      pos := !pos + k)
+    sizes;
+  Sha256.feed ctx (String.sub msg !pos (String.length msg - !pos))
+
+let sha_qcheck =
+  [
+    QCheck.Test.make ~name:"kernel matches the reference" ~count:1000 msg_gen
+      (fun msg -> Sha256.digest msg = Reference.digest msg);
+    QCheck.Test.make ~name:"chunked feed matches the reference" ~count:1000
+      QCheck.(pair msg_gen (small_list small_nat))
+      (fun (msg, sizes) ->
+        let ctx = Sha256.init () in
+        feed_chunked ctx msg sizes;
+        Sha256.finalize ctx = Reference.digest msg);
+    QCheck.Test.make ~name:"midstate and resume match the reference"
+      ~count:1000
+      QCheck.(triple (string_of_size (Gen.return 64)) msg_gen (small_list small_nat))
+      (fun (block, msg, sizes) ->
+        let ctx = Sha256.resume (Sha256.midstate_of_block block) in
+        feed_chunked ctx msg sizes;
+        Sha256.finalize ctx = Reference.digest (block ^ msg));
+    QCheck.Test.make ~name:"feed_int feeds string_of_int" ~count:1000
+      QCheck.(pair (string_of_size Gen.(0 -- 70)) int)
+      (fun (prefix, n) ->
+        List.for_all
+          (fun n ->
+            let ctx = Sha256.init () in
+            Sha256.feed ctx prefix;
+            Sha256.feed_int ctx n;
+            Sha256.finalize ctx = Sha256.digest (prefix ^ string_of_int n))
+          [ n; min_int; -1; 0; max_int ]);
+    QCheck.Test.make ~name:"feed_hex feeds to_hex" ~count:1000
+      QCheck.(pair (string_of_size Gen.(0 -- 70)) msg_gen)
+      (fun (prefix, s) ->
+        let ctx = Sha256.init () in
+        Sha256.feed ctx prefix;
+        Sha256.feed_hex ctx s;
+        Sha256.finalize ctx = Sha256.digest (prefix ^ Sha256.to_hex s));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* HMAC (RFC 4231)                                                     *)
@@ -340,8 +467,82 @@ let test_threshold_serialization () =
             (Threshold.signature_of_bytes "toolong--" = None)
       | None -> Alcotest.fail "deserialization failed")
 
+(* The signature Shamir reconstructs from the shares' field elements,
+   serialized like [Threshold.signature_bytes]. *)
+let reconstructed_bytes shares =
+  let sigma =
+    Shamir.reconstruct
+      (List.map
+         (fun s ->
+           { Shamir.index = Threshold.share_index s + 1;
+             value = Threshold.share_value s })
+         shares)
+  in
+  let v = Gf61.to_int sigma in
+  String.init 8 (fun i -> Char.chr ((v lsr ((7 - i) * 8)) land 0xFF))
+
+let combined_bytes scheme ~msg shares =
+  match Threshold.combine scheme ~msg shares with
+  | Ok sigma -> Threshold.signature_bytes sigma
+  | Error e -> Alcotest.fail e
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x ->
+          List.map (List.cons x) (permutations (List.filter (( <> ) x) l)))
+        l
+
+let test_threshold_combine_matches_shamir () =
+  let msg = "combine" in
+  let setup () = Threshold.setup ~n:4 ~threshold:3 ~seed:"c" in
+  let warm, signers = setup () in
+  let share i = Threshold.sign_share signers.(i) msg in
+  List.iter
+    (fun left_out ->
+      let subset = List.filter (( <> ) left_out) [ 0; 1; 2; 3 ] in
+      List.iter
+        (fun order ->
+          let shares = List.map share order in
+          let expected = reconstructed_bytes shares in
+          let cold, _ = setup () in
+          Alcotest.(check int) "cold table" 0 (Threshold.cached_inverses cold);
+          Alcotest.(check string) "cold" expected (combined_bytes cold ~msg shares);
+          Alcotest.(check string) "warm" expected (combined_bytes warm ~msg shares))
+        (permutations subset))
+    [ 0; 1; 2; 3 ];
+  Alcotest.(check bool) "table within n^2" true
+    (Threshold.cached_inverses warm <= 4 * 4)
+
 let threshold_qcheck =
   [
+    QCheck.Test.make ~name:"5-of-7 combine matches Shamir cold and warm"
+      ~count:300
+      QCheck.(pair int small_string)
+      (fun (seed, msg) ->
+        let scheme, signers = Threshold.setup ~n:7 ~threshold:5 ~seed:"c7" in
+        let shares =
+          List.filteri (fun i _ -> i < 5) (shuffled 7 seed)
+          |> List.map (fun i -> Threshold.sign_share signers.(i) msg)
+        in
+        let expected = reconstructed_bytes shares in
+        combined_bytes scheme ~msg shares = expected
+        && combined_bytes scheme ~msg shares = expected);
+    QCheck.Test.make ~name:"inverse table never exceeds n^2 entries" ~count:100
+      QCheck.(pair (int_range 1 20) (small_list int))
+      (fun (n, seeds) ->
+        let threshold = 1 + ((n - 1) / 2) in
+        let scheme, signers = Threshold.setup ~n ~threshold ~seed:"t" in
+        List.for_all
+          (fun seed ->
+            let shares =
+              List.filteri (fun i _ -> i < threshold) (shuffled n seed)
+              |> List.map (fun i -> Threshold.sign_share signers.(i) "m")
+            in
+            Result.is_ok (Threshold.combine scheme ~msg:"m" shares)
+            && Threshold.cached_inverses scheme <= n * n)
+          seeds);
     QCheck.Test.make ~name:"any nf-subset combines to a valid signature"
       ~count:50
       (QCheck.pair (QCheck.int_range 4 10) QCheck.small_string)
@@ -415,8 +616,8 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha_million_a;
           Alcotest.test_case "streaming equivalence" `Quick
             test_sha_streaming_equivalence;
-          Alcotest.test_case "digest_list" `Quick test_sha_digest_list;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest sha_qcheck );
       ( "hmac",
         [
           Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_rfc4231;
@@ -438,6 +639,8 @@ let () =
           Alcotest.test_case "share verification" `Quick
             test_threshold_share_verification;
           Alcotest.test_case "serialization" `Quick test_threshold_serialization;
+          Alcotest.test_case "combine matches Shamir, 3-of-4 orders" `Quick
+            test_threshold_combine_matches_shamir;
         ]
         @ List.map QCheck_alcotest.to_alcotest threshold_qcheck );
       ("keychain", [ Alcotest.test_case "macs and signatures" `Quick test_keychain ]);

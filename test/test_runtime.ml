@@ -208,6 +208,57 @@ let test_batch_of_requests () =
     (String.equal b1.Message.digest b3.Message.digest);
   Alcotest.(check int) "size" 5 (Array.length b1.Message.reqs)
 
+(* A known answer computed when each request was formatted as
+   "hub.client.rid:" ^ [Kv_store.encode_op] before hashing. *)
+let test_materialized_digest_known_answer () =
+  let module Kv = Poe_store.Kv_store in
+  let mk (hub, client, rid, op) = { Message.hub; client; rid; op; submitted = 0.0 } in
+  let b =
+    Message.batch_of_requests ~materialize:true
+      (List.map mk
+         [ (0, 0, 0, Some (Kv.Update ("user7", "value-0123456789")));
+           (15, 199, 123456, Some (Kv.Read "user999"));
+           (3, 1, 2, None);
+           (1, 2, 3, Some (Kv.Insert ("k", "")));
+           (2, 3, 4, Some (Kv.Delete "user1")) ])
+  in
+  Alcotest.(check string) "digest"
+    "47bbdf5dcc401cd8ac961fe0cfbfe726298a18d8a044ec00b5fb3b42ecccc31d"
+    (Poe_crypto.Sha256.to_hex b.Message.digest)
+
+(* The materialized digest hashes exactly the lines "hub.client.rid:op"
+   with the op in [Kv_store.encode_op] form. *)
+let batch_digest_qcheck =
+  let module Kv = Poe_store.Kv_store in
+  let op =
+    QCheck.Gen.(
+      let s = string_size (0 -- 20) in
+      oneof
+        [ return None;
+          map (fun k -> Some (Kv.Read k)) s;
+          map2 (fun k v -> Some (Kv.Update (k, v))) s s;
+          map2 (fun k v -> Some (Kv.Insert (k, v))) s s;
+          map (fun k -> Some (Kv.Delete k)) s ])
+  in
+  let req =
+    QCheck.Gen.(
+      map2
+        (fun (hub, client, rid) op -> { Message.hub; client; rid; op; submitted = 0.0 })
+        (triple int int int) op)
+  in
+  [
+    QCheck.Test.make ~name:"materialized digest hashes the formatted lines"
+      ~count:1000
+      (QCheck.make QCheck.Gen.(list_size (0 -- 12) req))
+      (fun reqs ->
+        let line (r : Message.request) =
+          Printf.sprintf "%d.%d.%d:%s" r.hub r.client r.rid
+            (match r.op with Some op -> Kv.encode_op op | None -> "")
+        in
+        (Message.batch_of_requests ~materialize:true reqs).Message.digest
+        = Poe_crypto.Sha256.digest (String.concat "" (List.map line reqs)));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Test fixture: a single replica context on a live engine              *)
 
@@ -912,7 +963,10 @@ let () =
         [
           Alcotest.test_case "wire sizes" `Quick test_wire_sizes;
           Alcotest.test_case "batch digests" `Quick test_batch_of_requests;
-        ] );
+          Alcotest.test_case "materialized digest known answer" `Quick
+            test_materialized_digest_known_answer;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest batch_digest_qcheck );
       ( "pipeline",
         [
           Alcotest.test_case "full and partial batches" `Quick

@@ -183,6 +183,23 @@ let test_nv_deadline_backoff () =
   Alcotest.(check (float 1e-9)) "back to one view timeout" view_timeout
     (r.vc.nv_deadline -. Engine.now engine)
 
+(* Every protocol's certificate check: executed entries form a
+   consecutive run that ends at the summary's exec_upto. *)
+let test_entries_end_at_exec_upto () =
+  let entry e_seqno =
+    { R.Message.e_seqno; e_view = 0;
+      e_batch = R.Message.batch_of_requests ~materialize:false [] }
+  in
+  let run = List.map entry [ 5; 6; 7 ] in
+  Alcotest.(check bool) "honest summary" true (V.entries_consecutive ~upto:7 run);
+  Alcotest.(check bool) "no entries" true (V.entries_consecutive ~upto:7 []);
+  Alcotest.(check bool) "entries stop one short of exec_upto" false
+    (V.entries_consecutive ~upto:8 run);
+  Alcotest.(check bool) "entries run past exec_upto" false
+    (V.entries_consecutive ~upto:6 run);
+  Alcotest.(check bool) "gap" false
+    (V.entries_consecutive ~upto:7 (List.map entry [ 5; 7 ]))
+
 let () =
   Alcotest.run "view_change"
     [
@@ -196,5 +213,7 @@ let () =
             test_primary_gathers_first_nf;
           Alcotest.test_case "NV deadline backoff" `Quick
             test_nv_deadline_backoff;
+          Alcotest.test_case "entries end at exec_upto" `Quick
+            test_entries_end_at_exec_upto;
         ] );
     ]
