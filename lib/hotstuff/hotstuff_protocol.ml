@@ -7,6 +7,7 @@ module Ctx = R.Replica_ctx
 module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
+module Quorum = R.Quorum
 module Block = Poe_ledger.Block
 
 let name = "hotstuff"
@@ -44,9 +45,9 @@ type replica = {
   parents : (int, int) Hashtbl.t;
       (* round -> the qc_round its accepted proposal extended: the block's
          parent in the block tree. Commitment walks these pointers. *)
-  votes : (int, (int, string) Hashtbl.t) Hashtbl.t;
+  votes : (int, Quorum.t) Hashtbl.t;
       (* as next leader: round -> voter -> digest *)
-  new_views : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  new_views : (int, Quorum.t) Hashtbl.t;  (* round -> senders *)
   mutable round : int;          (* highest round with an accepted proposal *)
   mutable qc_high : int;        (* highest round we hold a QC for *)
   mutable locked : int;
@@ -366,24 +367,11 @@ and on_proposal t ~src ~round ~(batch : Message.batch) ~qc_round =
 
 and on_vote t ~src ~round ~digest =
   if leader_of t (round + 1) = Ctx.id t.ctx then begin
-    let bucket =
-      match Hashtbl.find_opt t.votes round with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Hashtbl.replace t.votes round h;
-          h
-    in
-    if not (Hashtbl.mem bucket src) then begin
-      Hashtbl.replace bucket src digest;
+    let bucket = Quorum.find_or_create t.votes round ~n:(n t) in
+    if Quorum.add bucket ~src ~digest = Quorum.Added then begin
       let c = costs t in
       Ctx.work t.ctx Server.Worker ~cost:c.Cost.ts_share_verify (fun () ->
-          let matching =
-            Hashtbl.fold
-              (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-              bucket 0
-          in
-          if matching >= nf t && t.qc_high < round then begin
+          if Quorum.count bucket digest >= nf t && t.qc_high < round then begin
             t.qc_high <- round;
             (* The freshly formed QC may complete a three-chain. *)
             commit_branch t ~tip_qc:round;
@@ -393,18 +381,11 @@ and on_vote t ~src ~round ~digest =
   end
 
 and on_new_view t ~src ~round =
-  let bucket =
-    match Hashtbl.find_opt t.new_views round with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 8 in
-        Hashtbl.replace t.new_views round h;
-        h
-  in
-  Hashtbl.replace bucket src ();
+  let bucket = Quorum.find_or_create t.new_views round ~n:(n t) in
+  ignore (Quorum.replace bucket ~src ~digest:"");
   if
     leader_of t round = Ctx.id t.ctx
-    && Hashtbl.length bucket >= nf t
+    && Quorum.size bucket >= nf t
     && t.proposed_for < round
   then begin
     (* Lead the round even though its predecessor stalled: extend our

@@ -9,6 +9,7 @@ module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
 module V = R.View_change
+module Quorum = R.Quorum
 module Block = Poe_ledger.Block
 
 let name = "pbft"
@@ -31,8 +32,8 @@ type Message.t +=
 type slot = {
   mutable batch : Message.batch option;
   mutable digest : string option; (* digest of the accepted pre-prepare *)
-  prepares : (int, string) Hashtbl.t;
-  commits : (int, string) Hashtbl.t;
+  prepares : Quorum.t;
+  commits : Quorum.t;
   mutable prepared : bool;
   mutable commit_sent : bool;
   mutable committed : bool;
@@ -81,8 +82,8 @@ let slot_of t ~view ~seqno =
         {
           batch = None;
           digest = None;
-          prepares = Hashtbl.create 8;
-          commits = Hashtbl.create 8;
+          prepares = Quorum.create (cfg t).Config.n;
+          commits = Quorum.create (cfg t).Config.n;
           prepared = false;
           commit_sent = false;
           committed = false;
@@ -96,23 +97,15 @@ let maybe_offer t ~view ~seqno slot =
   match slot.batch with
   | Some batch when slot.committed && not slot.offered ->
       slot.offered <- true;
-      let proof =
-        Block.Vote_certificate
-          (Hashtbl.fold (fun id _ acc -> id :: acc) slot.commits [])
-      in
-      Exec.offer t.exec ~seqno ~view ~batch ~proof
+      Exec.offer t.exec ~seqno ~view ~batch
+        ~proof:(Block.Vote_certificate (Quorum.signers slot.commits))
   | Some _ | None -> ()
 
 (* Commit quorum: nf matching COMMITs (counting our own). *)
 let try_commit t ~view ~seqno slot =
   match slot.digest with
   | Some digest when slot.prepared && not slot.committed ->
-      let matching =
-        Hashtbl.fold
-          (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-          slot.commits 0
-      in
-      if matching >= nf t then begin
+      if Quorum.count slot.commits digest >= nf t then begin
         slot.committed <- true;
         tr_phase t ~view ~seqno "commit";
         maybe_offer t ~view ~seqno slot
@@ -124,12 +117,7 @@ let try_commit t ~view ~seqno slot =
 let try_prepare t ~view ~seqno slot =
   match slot.digest with
   | Some digest when not slot.prepared ->
-      let matching =
-        Hashtbl.fold
-          (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-          slot.prepares 0
-      in
-      if matching >= nf t then begin
+      if Quorum.count slot.prepares digest >= nf t then begin
         slot.prepared <- true;
         tr_phase t ~view ~seqno "prepare";
         if not slot.commit_sent then begin
@@ -139,7 +127,7 @@ let try_prepare t ~view ~seqno slot =
           Ctx.work t.ctx Server.Worker ~cost:sign (fun () ->
               Ctx.broadcast_replicas t.ctx ~bytes:Message.Wire.vote
                 (Commit { view; seqno; digest });
-              Hashtbl.replace slot.commits (Ctx.id t.ctx) digest;
+              ignore (Quorum.replace slot.commits ~src:(Ctx.id t.ctx) ~digest);
               try_commit t ~view ~seqno slot)
         end
       end
@@ -152,9 +140,11 @@ let accept_preprepare t ~view ~seqno slot (batch : Message.batch) =
   slot.batch <- Some batch;
   slot.digest <- Some digest;
   (* The primary's pre-prepare stands in for its prepare. *)
-  Hashtbl.replace slot.prepares (Config.primary_of_view (cfg t) view) digest;
+  ignore
+    (Quorum.replace slot.prepares ~src:(Config.primary_of_view (cfg t) view)
+       ~digest);
   if not (Ctx.is_primary_of t.ctx view) then begin
-    Hashtbl.replace slot.prepares (Ctx.id t.ctx) digest;
+    ignore (Quorum.replace slot.prepares ~src:(Ctx.id t.ctx) ~digest);
     let c = costs t in
     let cpu =
       Cost.hash_cost c ~bytes:(Message.Wire.propose (cfg t))
@@ -196,19 +186,15 @@ let on_preprepare t ~src ~view ~seqno (batch : Message.batch) =
 let on_prepare t ~src ~view ~seqno ~digest =
   if view >= t.vc.view then begin
     let slot = slot_of t ~view ~seqno in
-    if not (Hashtbl.mem slot.prepares src) then begin
-      Hashtbl.replace slot.prepares src digest;
-      if active_in t view then try_prepare t ~view ~seqno slot
-    end
+    if Quorum.add slot.prepares ~src ~digest = Quorum.Added && active_in t view
+    then try_prepare t ~view ~seqno slot
   end
 
 let on_commit t ~src ~view ~seqno ~digest =
   if view >= t.vc.view then begin
     let slot = slot_of t ~view ~seqno in
-    if not (Hashtbl.mem slot.commits src) then begin
-      Hashtbl.replace slot.commits src digest;
-      if active_in t view then try_commit t ~view ~seqno slot
-    end
+    if Quorum.add slot.commits ~src ~digest = Quorum.Added && active_in t view
+    then try_commit t ~view ~seqno slot
   end
 
 (* Primary: assign the next sequence number and pre-prepare the batch. *)

@@ -11,6 +11,16 @@
 
 include Poe_runtime.Protocol_intf.S
 
+(** {1 Wire messages} *)
+
+type Poe_runtime.Message.t +=
+  | Preprepare of { view : int; seqno : int; batch : Poe_runtime.Message.batch }
+  | Prepare of { view : int; seqno : int; digest : string }
+  | Commit of { view : int; seqno : int; digest : string }
+
+val slot_digest : view:int -> seqno:int -> batch_digest:string -> string
+(** The digest a slot's PREPAREs and COMMITs vote for. *)
+
 (** {1 Introspection} *)
 
 val view_of : replica -> int

@@ -9,6 +9,7 @@ module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
 module V = R.View_change
+module Quorum = R.Quorum
 module Threshold = Poe_crypto.Threshold
 module Block = Poe_ledger.Block
 open Poe_msg
@@ -19,7 +20,7 @@ let name = "poe"
 type slot = {
   mutable batch : Message.batch option;
   mutable my_digest : string option;  (* digest this replica supported *)
-  supports : (int, string) Hashtbl.t; (* replica -> supported digest *)
+  supports : Quorum.t; (* replica -> supported digest *)
   mutable shares : Threshold.share list; (* real shares (materialized TS) *)
   mutable verified_supports : int;    (* primary, TS variant *)
   mutable combining : bool;
@@ -80,7 +81,7 @@ let slot_of t ~view ~seqno =
         {
           batch = None;
           my_digest = None;
-          supports = Hashtbl.create 8;
+          supports = Quorum.create (cfg t).Config.n;
           shares = [];
           verified_supports = 0;
           combining = false;
@@ -103,8 +104,7 @@ let maybe_offer t ~view ~seqno slot =
       let proof =
         if ts_variant t then Block.Threshold_sig "certify"
         else
-          Block.Vote_certificate
-            (Hashtbl.fold (fun id _ acc -> id :: acc) slot.supports [])
+          Block.Vote_certificate (Quorum.signers slot.supports)
       in
       Exec.offer t.exec ~seqno ~view ~batch ~proof
   | Some _ | None -> ()
@@ -150,12 +150,7 @@ let primary_try_certify t ~seqno slot =
 let mac_try_commit t ~view ~seqno slot =
   match slot.my_digest with
   | Some digest when not slot.certified ->
-      let matching =
-        Hashtbl.fold
-          (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-          slot.supports 0
-      in
-      if matching >= nf t then begin
+      if Quorum.count slot.supports digest >= nf t then begin
         slot.certified <- true;
         maybe_offer t ~view ~seqno slot
       end
@@ -167,7 +162,7 @@ let support_slot t ~view ~seqno slot (batch : Message.batch) =
   slot.my_digest <- Some digest;
   slot.batch <- Some batch;
   (* Record our own support. *)
-  Hashtbl.replace slot.supports (Ctx.id t.ctx) digest;
+  ignore (Quorum.replace slot.supports ~src:(Ctx.id t.ctx) ~digest);
   let c = costs t in
   let hash_cpu = Cost.hash_cost c ~bytes:(Message.Wire.propose (cfg t)) in
   if ts_variant t then
@@ -219,8 +214,10 @@ let back_proposal t ~view ~seqno slot =
       (* In the MAC variant the proposal doubles as the primary's
          support. *)
       if not (ts_variant t) then
-        Hashtbl.replace slot.supports (primary_of t view)
-          (support_digest ~view ~seqno ~batch_digest:batch.Message.digest);
+        ignore
+          (Quorum.replace slot.supports ~src:(primary_of t view)
+             ~digest:
+               (support_digest ~view ~seqno ~batch_digest:batch.Message.digest));
       support_slot t ~view ~seqno slot batch;
       if not (ts_variant t) then mac_try_commit t ~view ~seqno slot;
       (match slot.pending_certify with
@@ -261,9 +258,9 @@ let on_support t ~src ~view ~seqno ~digest ~share =
   if active_in t view && is_primary t then begin
     let slot = slot_of t ~view ~seqno in
     match slot.my_digest with
-    | Some my when String.equal my digest && not (Hashtbl.mem slot.supports src)
-      ->
-        Hashtbl.replace slot.supports src digest;
+    | Some my
+      when String.equal my digest
+           && Quorum.add slot.supports ~src ~digest = Quorum.Added ->
         (* The worker thread verifies each share before counting it. *)
         let c = costs t in
         Ctx.work t.ctx Server.Worker ~cost:c.Cost.ts_share_verify (fun () ->
@@ -288,10 +285,8 @@ let on_support_all t ~src ~view ~seqno ~digest =
   if view >= t.vc.view then begin
     V.request_nv t.vc ~src ~view;
     let slot = slot_of t ~view ~seqno in
-    if not (Hashtbl.mem slot.supports src) then begin
-      Hashtbl.replace slot.supports src digest;
-      if active_in t view then mac_try_commit t ~view ~seqno slot
-    end
+    if Quorum.add slot.supports ~src ~digest = Quorum.Added && active_in t view
+    then mac_try_commit t ~view ~seqno slot
   end
 
 let on_certify t ~src ~view ~seqno ~digest ~signature =
@@ -351,7 +346,7 @@ let propose_batch t (batch : Message.batch) =
     in
     slot.batch <- Some batch;
     slot.my_digest <- Some digest;
-    Hashtbl.replace slot.supports (Ctx.id t.ctx) digest;
+    ignore (Quorum.replace slot.supports ~src:(Ctx.id t.ctx) ~digest);
     tr_phase t ~view ~seqno "support";
     if ts_variant t then begin
       slot.verified_supports <- 1;

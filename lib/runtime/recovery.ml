@@ -9,7 +9,7 @@ type t = {
   on_suspect : unit -> unit;
   on_stable : int -> unit;
   watched : (int, Message.request * float) Hashtbl.t;
-  votes : (int, (int, string) Hashtbl.t) Hashtbl.t; (* seqno -> sender -> d *)
+  votes : (int, Quorum.t) Hashtbl.t; (* seqno -> sender -> digest *)
   mutable last_vote_sent : int;
   mutable transfer_pending : bool;
   mutable suspect_round : int;
@@ -97,12 +97,7 @@ let refresh_watches t =
 (* Checkpoints and state transfer                                      *)
 
 let vote_bucket t seqno =
-  match Hashtbl.find_opt t.votes seqno with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.votes seqno h;
-      h
+  Quorum.find_or_create t.votes seqno ~n:(cfg t).Config.n
 
 (* What a checkpoint vote certifies. With a materialized ledger the vote
    carries the chain block hash — a commitment to the *whole* executed
@@ -122,7 +117,7 @@ let broadcast_vote t ~seqno =
     let digest = checkpoint_digest t ~seqno in
     Ctx.broadcast_replicas t.ctx ~bytes:Message.Wire.vote
       (Message.Checkpoint_vote { seqno; digest });
-    Hashtbl.replace (vote_bucket t seqno) (Ctx.id t.ctx) digest
+    ignore (Quorum.replace (vote_bucket t seqno) ~src:(Ctx.id t.ctx) ~digest)
   end
 
 let stabilize t ~seqno =
@@ -135,9 +130,9 @@ let stabilize t ~seqno =
     Exec.set_stable t.exec seqno;
     Ctx.stable_checkpoint t.ctx ~seqno;
     Exec.gc_below t.exec ~seqno;
-    List.iter
-      (fun s -> if s <= seqno then Hashtbl.remove t.votes s)
-      (Hashtbl.fold (fun s _ acc -> s :: acc) t.votes []);
+    Hashtbl.filter_map_inplace
+      (fun s q -> if s <= seqno then None else Some q)
+      t.votes;
     t.on_stable seqno
   end
 
@@ -163,16 +158,14 @@ let request_state_transfer t ~from_peers =
 
 let entry_bytes = Message.Wire.per_txn + 64
 
+(* Last vote wins, and the quorum is re-checked even on a repeat. *)
 let on_vote t ~src ~seqno ~digest =
   let bucket = vote_bucket t seqno in
-  Hashtbl.replace bucket src digest;
-  let matching =
-    Hashtbl.fold
-      (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-      bucket 0
-  in
+  let counted = Quorum.replace bucket ~src ~digest <> Quorum.Out_of_range in
+  let matching = Quorum.count bucket digest in
   let config = cfg t in
-  if seqno <= Exec.k_exec t.exec then begin
+  if not counted then ()
+  else if seqno <= Exec.k_exec t.exec then begin
     if matching >= Config.nf config && seqno > Exec.stable t.exec then begin
       (* Only stabilize a certified checkpoint our own history agrees
          with. A quorum certifying a digest we did not compute means our
@@ -189,23 +182,14 @@ let on_vote t ~src ~seqno ~digest =
         if Poe_obs.Metrics.enabled () then
           Poe_obs.Metrics.cincr "recovery.divergence_repairs";
         ignore (Exec.rollback_to t.exec ~seqno:(Exec.stable t.exec));
-        let peers =
-          Hashtbl.fold
-            (fun id d acc -> if String.equal d digest then id :: acc else acc)
-            bucket []
-        in
-        request_state_transfer t ~from_peers:peers
+        request_state_transfer t
+          ~from_peers:(Quorum.signers ~digest bucket)
       end
     end
   end
   else if matching >= Config.f config + 1 then begin
     (* At least one honest replica is ahead of us: catch up. *)
-    let peers =
-      Hashtbl.fold
-        (fun id d acc -> if String.equal d digest then id :: acc else acc)
-        bucket []
-    in
-    request_state_transfer t ~from_peers:peers
+    request_state_transfer t ~from_peers:(Quorum.signers ~digest bucket)
   end
 
 let retained_entries t ~above =

@@ -9,6 +9,7 @@ module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
 module V = R.View_change
+module Quorum = R.Quorum
 module Block = Poe_ledger.Block
 
 let name = "sbft"
@@ -44,8 +45,8 @@ type Message.t +=
 
 (* Collector-side per-slot state. *)
 type coll_slot = {
-  shares : (int, string) Hashtbl.t;
-  shares2 : (int, string) Hashtbl.t;
+  shares : Quorum.t;
+  shares2 : Quorum.t;
   mutable proof_sent : bool;       (* fast or slow first proof *)
   mutable final_sent : bool;
   mutable timer_armed : bool;
@@ -72,7 +73,7 @@ type replica = {
   slots : (int, slot) Hashtbl.t;
       (* keyed by (view, seqno) packed into one int: view lsl 40 lor seqno *)
   coll : (int, coll_slot) Hashtbl.t;      (* collector only, same key *)
-  exec_shares : (int, (int, string) Hashtbl.t) Hashtbl.t; (* executor only *)
+  exec_shares : (int, Quorum.t) Hashtbl.t; (* executor only *)
   exec_results : (int, Message.batch * string) Hashtbl.t;
       (* own execution output per slot, kept by every replica (GCed at
          the stable checkpoint) so whichever replica is executor — now
@@ -156,8 +157,8 @@ let coll_slot_of t ~view ~seqno =
   | None ->
       let s =
         {
-          shares = Hashtbl.create 8;
-          shares2 = Hashtbl.create 8;
+          shares = Quorum.create (n t);
+          shares2 = Quorum.create (n t);
           proof_sent = false;
           final_sent = false;
           timer_armed = false;
@@ -177,11 +178,6 @@ let maybe_execute t ~view ~seqno slot =
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)
 
-let matching_count bucket digest =
-  Hashtbl.fold
-    (fun _ d acc -> if String.equal d digest then acc + 1 else acc)
-    bucket 0
-
 let send_proof t ~view ~seqno ~digest ~full =
   let c = costs t in
   Ctx.work t.ctx Server.Worker
@@ -194,41 +190,18 @@ let send_proof t ~view ~seqno ~digest ~full =
    timeout with >= nf -> slow path (two extra linear phases). *)
 let collector_check t ~view ~seqno =
   let cs = coll_slot_of t ~view ~seqno in
-  if not cs.proof_sent then begin
-    let candidates =
-      Hashtbl.fold (fun _ d acc -> d :: acc) cs.shares []
-      |> List.sort_uniq compare
-    in
-    let best =
-      List.fold_left
-        (fun acc d ->
-          let count = matching_count cs.shares d in
-          match acc with
-          | Some (_, c) when c >= count -> acc
-          | _ -> Some (d, count))
-        None candidates
-    in
-    match best with
+  if not cs.proof_sent then
+    match Quorum.best cs.shares with
     | Some (digest, count) when count >= n t ->
         cs.proof_sent <- true;
         cs.final_sent <- true; (* fast path needs no second round *)
         send_proof t ~view ~seqno ~digest ~full:true
     | Some _ | None -> ()
-  end
 
 let rec collector_timeout t ~view ~seqno =
   let cs = coll_slot_of t ~view ~seqno in
   if (not cs.proof_sent) && view >= t.vc.view then begin
-    let best =
-      Hashtbl.fold
-        (fun _ d acc ->
-          let count = matching_count cs.shares d in
-          match acc with
-          | Some (_, c) when c >= count -> acc
-          | _ -> Some (d, count))
-        cs.shares None
-    in
-    match best with
+    match Quorum.best cs.shares with
     | Some (digest, count) when count >= nf t ->
         (* Slow path, phase 1: circulate the nf-aggregate for re-signing. *)
         cs.proof_sent <- true;
@@ -253,9 +226,8 @@ let on_share t ~src ~view ~seqno ~digest =
      own NEW-VIEW arrives: the shares prove the view is live elsewhere. *)
   if is_collector_of t view && view >= t.vc.view then begin
     let cs = coll_slot_of t ~view ~seqno in
-    if not (Hashtbl.mem cs.shares src) then begin
+    if Quorum.add cs.shares ~src ~digest = Quorum.Added then begin
       let c = costs t in
-      Hashtbl.replace cs.shares src digest;
       arm_collector_timer t ~view ~seqno;
       Ctx.work t.ctx Server.Worker ~cost:c.Cost.ts_share_verify (fun () ->
           collector_check t ~view ~seqno)
@@ -265,19 +237,19 @@ let on_share t ~src ~view ~seqno ~digest =
 let on_share2 t ~src ~view ~seqno ~digest =
   if is_collector_of t view && view >= t.vc.view then begin
     let cs = coll_slot_of t ~view ~seqno in
-    if not (Hashtbl.mem cs.shares2 src) then begin
-      Hashtbl.replace cs.shares2 src digest;
-      if (not cs.final_sent) && matching_count cs.shares2 digest >= nf t
-      then begin
-        cs.final_sent <- true;
-        let c = costs t in
-        Ctx.work t.ctx Server.Worker
-          ~cost:(Cost.combine_cost c ~shares:(nf t))
-          (fun () ->
-            Ctx.broadcast_replicas t.ctx ~include_self:true
-              ~bytes:Message.Wire.vote
-              (S_final_proof { view; seqno; digest }))
-      end
+    if
+      Quorum.add cs.shares2 ~src ~digest = Quorum.Added
+      && (not cs.final_sent)
+      && Quorum.count cs.shares2 digest >= nf t
+    then begin
+      cs.final_sent <- true;
+      let c = costs t in
+      Ctx.work t.ctx Server.Worker
+        ~cost:(Cost.combine_cost c ~shares:(nf t))
+        (fun () ->
+          Ctx.broadcast_replicas t.ctx ~include_self:true
+            ~bytes:Message.Wire.vote
+            (S_final_proof { view; seqno; digest }))
     end
   end
 
@@ -423,19 +395,11 @@ let executor_respond t ~seqno ~result =
 
 let on_exec_share t ~src ~seqno ~result =
   if is_executor t then begin
-    let bucket =
-      match Hashtbl.find_opt t.exec_shares seqno with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Hashtbl.replace t.exec_shares seqno h;
-          h
-    in
-    if not (Hashtbl.mem bucket src) then begin
-      Hashtbl.replace bucket src result;
-      if matching_count bucket result >= fq t + 1 then
-        executor_respond t ~seqno ~result
-    end
+    let bucket = Quorum.find_or_create t.exec_shares seqno ~n:(n t) in
+    if
+      Quorum.add bucket ~src ~digest:result = Quorum.Added
+      && Quorum.count bucket result >= fq t + 1
+    then executor_respond t ~seqno ~result
   end
 
 let on_executed t ~seqno ~batch ~result =

@@ -10,10 +10,6 @@ type 'msg t = {
   crashed : bool array;
   nic_free_at : float array;   (* when each node's outgoing NIC frees up *)
   blocked : (int * int, unit) Hashtbl.t;
-  link_loss : (int * int, float) Hashtbl.t;
-      (* per-link loss overrides; when set they win over [loss_probability] *)
-  link_delay : (int * int, float) Hashtbl.t;
-      (* extra one-way delay added on specific links *)
   mutable sent_messages : int;
   mutable sent_bytes : int;
   mutable dropped_messages : int;
@@ -37,8 +33,6 @@ let create ~engine ~n_nodes ~latency ?(bandwidth_bytes_per_s = None)
     crashed = Array.make n_nodes false;
     nic_free_at = Array.make n_nodes 0.0;
     blocked = Hashtbl.create 16;
-    link_loss = Hashtbl.create 16;
-    link_delay = Hashtbl.create 16;
     sent_messages = 0;
     sent_bytes = 0;
     dropped_messages = 0;
@@ -88,30 +82,11 @@ let deliver t ~mid ~src ~dst ~bytes msg =
             "deliver";
         handler ~src ~bytes msg
 
-(* Effective loss on one link: the per-link override when present (chaos
-   schedules and bursty-loss channels install these), else the global
-   probability. The length check keeps the no-override common case at one
-   branch with no hashing. *)
-let loss_on t ~src ~dst =
-  if Hashtbl.length t.link_loss = 0 then t.loss_probability
-  else
-    match Hashtbl.find_opt t.link_loss (src, dst) with
-    | Some p -> p
-    | None -> t.loss_probability
-
-let extra_delay_on t ~src ~dst =
-  if Hashtbl.length t.link_delay = 0 then 0.0
-  else
-    match Hashtbl.find_opt t.link_delay (src, dst) with
-    | Some d -> d
-    | None -> 0.0
-
 let send t ~src ~dst ~bytes msg =
   check_node t src;
   check_node t dst;
   let mid = t.next_mid in
   t.next_mid <- mid + 1;
-  let loss = loss_on t ~src ~dst in
   if
     t.crashed.(src)
     || (Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst))
@@ -119,7 +94,8 @@ let send t ~src ~dst ~bytes msg =
     t.dropped_messages <- t.dropped_messages + 1;
     trace_drop t ~mid ~src ~dst ~bytes
   end
-  else if loss > 0.0 && Rng.bool t.rng ~p:loss then begin
+  else if t.loss_probability > 0.0 && Rng.bool t.rng ~p:t.loss_probability
+  then begin
     t.sent_messages <- t.sent_messages + 1;
     t.sent_bytes <- t.sent_bytes + bytes;
     t.dropped_messages <- t.dropped_messages + 1;
@@ -152,7 +128,6 @@ let send t ~src ~dst ~bytes msg =
     let arrival =
       departure
       +. (Latency.sample t.latency t.rng *. t.latency_factor)
-      +. extra_delay_on t ~src ~dst
     in
     Engine.schedule t.engine ~delay:(arrival -. now) (fun () ->
         deliver t ~mid ~src ~dst ~bytes msg)
@@ -182,27 +157,11 @@ let set_loss t p =
 
 let loss t = t.loss_probability
 
-let set_link_loss t ~src ~dst = function
-  | Some p ->
-      if p < 0.0 || p >= 1.0 then invalid_arg "Network.set_link_loss";
-      Hashtbl.replace t.link_loss (src, dst) p
-  | None -> Hashtbl.remove t.link_loss (src, dst)
-
 let set_latency_factor t f =
   if f <= 0.0 then invalid_arg "Network.set_latency_factor";
   t.latency_factor <- f
 
 let latency_factor t = t.latency_factor
-
-let set_link_delay t ~src ~dst = function
-  | Some d ->
-      if d < 0.0 then invalid_arg "Network.set_link_delay";
-      Hashtbl.replace t.link_delay (src, dst) d
-  | None -> Hashtbl.remove t.link_delay (src, dst)
-
-let clear_link_overrides t =
-  Hashtbl.reset t.link_loss;
-  Hashtbl.reset t.link_delay
 
 let sent_messages t = t.sent_messages
 let sent_bytes t = t.sent_bytes

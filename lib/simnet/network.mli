@@ -54,32 +54,20 @@ val heal_partitions : _ t -> unit
 
 (** {1 Dynamic link quality}
 
-    Chaos schedules mutate these mid-run: global and per-link loss, a
-    global latency multiplier (surges), and per-link additive delay.
-    All take effect for messages sent after the call; in-flight messages
-    are unaffected. *)
+    Chaos schedules mutate these mid-run: the global loss probability and
+    a global latency multiplier (surges). Both take effect for messages
+    sent after the call; in-flight messages are unaffected. *)
 
 val set_loss : _ t -> float -> unit
 (** Replace the global loss probability. Must be in [0, 1). *)
 
 val loss : _ t -> float
 
-val set_link_loss : _ t -> src:int -> dst:int -> float option -> unit
-(** Override the loss probability of one directed link ([None] clears the
-    override and the link falls back to the global probability). *)
-
 val set_latency_factor : _ t -> float -> unit
 (** Multiply every sampled one-way delay by this factor (default 1.0);
     models a cluster-wide latency surge. Must be positive. *)
 
 val latency_factor : _ t -> float
-
-val set_link_delay : _ t -> src:int -> dst:int -> float option -> unit
-(** Add a fixed extra one-way delay on one directed link ([None] clears). *)
-
-val clear_link_overrides : _ t -> unit
-(** Drop every per-link loss/delay override (partitions are separate; see
-    {!heal_partitions}). *)
 
 (** {1 Accounting} *)
 

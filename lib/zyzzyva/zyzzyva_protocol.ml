@@ -9,6 +9,7 @@ module Exec = R.Exec_engine
 module Recovery = R.Recovery
 module Hub = R.Hub_core
 module V = R.View_change
+module Quorum = R.Quorum
 module Block = Poe_ledger.Block
 
 let name = "zyzzyva"
@@ -491,9 +492,8 @@ let conflicting_view (rs : Hub.request_state) =
 let hub_hooks config =
   let nf = Config.nf config in
   (* Per-hub commit-phase bookkeeping: request key -> (request state,
-     local-commit acks per replica). *)
-  let pending :
-      (int * int, Hub.request_state * (int, unit) Hashtbl.t) Hashtbl.t =
+     replicas that acknowledged its local commit). *)
+  let pending : (int * int, Hub.request_state * Quorum.t) Hashtbl.t =
     Hashtbl.create 256
   in
   let on_timeout hub (rs : Hub.request_state) =
@@ -504,7 +504,7 @@ let hub_hooks config =
            commit certificate and broadcast it. *)
         let key = (rs.Hub.req.Message.client, rs.Hub.req.Message.rid) in
         if not (Hashtbl.mem pending key) then
-          Hashtbl.replace pending key (rs, Hashtbl.create 8);
+          Hashtbl.replace pending key (rs, Quorum.create config.Config.n);
         Hub.broadcast_replicas hub ~bytes:Message.Wire.vote
           (Commit_cert
              { seqno; digest; acks = [ key ]; hub = Hub.hub_index hub })
@@ -527,8 +527,8 @@ let hub_hooks config =
             match Hashtbl.find_opt pending key with
             | None -> ()
             | Some (rs, votes) ->
-                Hashtbl.replace votes replica ();
-                if Hashtbl.length votes >= nf then begin
+                ignore (Quorum.replace votes ~src:replica ~digest:"");
+                if Quorum.size votes >= nf then begin
                   Hashtbl.remove pending key;
                   Hub.complete hub rs
                 end)

@@ -37,6 +37,56 @@ let test_pbft_normal () =
     (fun r -> Alcotest.(check int) "view 0" 0 (Pbft.view_of r))
     c.CP.replicas
 
+(* Replica 1 of a client-less n = 4 PBFT cluster (nf = 3), fed messages
+   directly. It has accepted the pre-prepare of seqno 0, so its own
+   PREPARE and the primary's pre-prepare are 2 of the 3 it needs, and
+   COMMITs from replicas 0 and 2 are in hand: it executes seqno 0 as soon
+   as one more PREPARE counts. *)
+let pbft_backup_awaiting_prepare () =
+  let config = Config.make ~n:4 ~n_hubs:1 ~clients_per_hub:1 () in
+  let c =
+    CP.build
+      { (Cluster.default_params ~config) with autostart_clients = false }
+  in
+  let r = c.CP.replicas.(1) in
+  let deliver ~src msg =
+    Pbft.on_message r ~src msg;
+    CP.run c ~until:(Poe_simnet.Engine.now c.CP.engine +. 0.05)
+  in
+  let batch =
+    R.Message.batch_of_requests ~materialize:false
+      [ { R.Message.hub = 0; client = 0; rid = 0; op = None; submitted = 0.0 } ]
+  in
+  let digest =
+    Pbft.slot_digest ~view:0 ~seqno:0 ~batch_digest:batch.R.Message.digest
+  in
+  deliver ~src:0 (Pbft.Preprepare { view = 0; seqno = 0; batch });
+  let prepare ~src digest =
+    deliver ~src (Pbft.Prepare { view = 0; seqno = 0; digest })
+  in
+  List.iter
+    (fun src -> deliver ~src (Pbft.Commit { view = 0; seqno = 0; digest }))
+    [ 0; 2 ];
+  (r, prepare, digest)
+
+(* Node id n is the first client hub: its PREPARE is not a replica's. *)
+let test_pbft_prepare_from_hub_ignored () =
+  let r, prepare, digest = pbft_backup_awaiting_prepare () in
+  prepare ~src:4 digest;
+  Alcotest.(check int) "hub vote not counted" (-1) (Pbft.k_exec r);
+  prepare ~src:3 digest;
+  Alcotest.(check int) "replica vote counted" 0 (Pbft.k_exec r)
+
+(* A replica's first PREPARE for a slot stands: a second one with another
+   digest is ignored, whichever of the two matches. *)
+let test_pbft_first_prepare_wins () =
+  let r, prepare, digest = pbft_backup_awaiting_prepare () in
+  prepare ~src:2 "other";
+  prepare ~src:2 digest;
+  Alcotest.(check int) "second prepare ignored" (-1) (Pbft.k_exec r);
+  prepare ~src:3 digest;
+  Alcotest.(check int) "third replica completes the quorum" 0 (Pbft.k_exec r)
+
 let test_pbft_backup_crash () =
   let c = CP.build { (Cluster.default_params ~config:(config ())) with
                      warmup = 0.4; measure = 2.0 } in
@@ -213,6 +263,10 @@ let () =
             test_pbft_primary_crash;
           Alcotest.test_case "no rollback semantics" `Quick
             test_pbft_no_rollback_ever;
+          Alcotest.test_case "prepare from a hub id ignored" `Quick
+            test_pbft_prepare_from_hub_ignored;
+          Alcotest.test_case "first prepare per replica wins" `Quick
+            test_pbft_first_prepare_wins;
         ] );
       ( "zyzzyva",
         [

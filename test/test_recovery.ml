@@ -123,6 +123,27 @@ let test_checkpoint_stabilizes_cluster () =
         7 (Recovery.stable recovery))
     fx.recoveries
 
+(* Checkpoint votes are last-wins: a replica that votes A and then B for
+   one seqno counts only toward B. *)
+let test_checkpoint_vote_last_wins () =
+  let fx = make_fixture () in
+  execute_upto fx ~replica:0 ~upto:3;
+  let a = (batch_at 3).Message.digest in
+  let vote ~src digest =
+    ignore
+      (Recovery.on_message fx.recoveries.(0) ~src
+         (Message.Checkpoint_vote { seqno = 3; digest }))
+  in
+  vote ~src:1 a;
+  vote ~src:2 a;
+  vote ~src:2 "b";
+  vote ~src:3 a;
+  Alcotest.(check int) "replica 2 now counts toward b" (-1)
+    (Recovery.stable fx.recoveries.(0));
+  vote ~src:2 a;
+  Alcotest.(check int) "stable once replica 2 votes a again" 3
+    (Recovery.stable fx.recoveries.(0))
+
 let test_lagging_replica_incremental_transfer () =
   let fx = make_fixture () in
   Array.iter Recovery.start fx.recoveries;
@@ -446,6 +467,8 @@ let () =
             test_note_executed_clears_watch;
           Alcotest.test_case "checkpoints stabilize" `Quick
             test_checkpoint_stabilizes_cluster;
+          Alcotest.test_case "checkpoint vote last wins" `Quick
+            test_checkpoint_vote_last_wins;
           Alcotest.test_case "incremental transfer" `Quick
             test_lagging_replica_incremental_transfer;
           Alcotest.test_case "snapshot transfer (materialized)" `Quick

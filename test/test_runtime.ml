@@ -931,6 +931,87 @@ let rid_table_qcheck =
           steps);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Quorum                                                              *)
+
+module Quorum = R.Quorum
+
+type quorum_case = { q_n : int; q_last_wins : bool; q_votes : (int * string) list }
+
+let print_quorum_case c =
+  Printf.sprintf "n=%d %s: %s" c.q_n
+    (if c.q_last_wins then "last-wins" else "first-wins")
+    (String.concat "; "
+       (List.map (fun (src, d) -> Printf.sprintf "%d:%s" src d) c.q_votes))
+
+(* Votes from ids -2 .. n+1 (so some are out of range), over three digests
+   with one favoured, so duplicates, conflicts and quorums all occur. *)
+let quorum_cases =
+  let open QCheck.Gen in
+  oneofl [ 4; 7; 16 ] >>= fun n ->
+  bool >>= fun last_wins ->
+  let vote =
+    pair (int_range (-2) (n + 1))
+      (frequency [ (6, return "a"); (2, return "b"); (1, return "c") ])
+  in
+  map
+    (fun votes -> { q_n = n; q_last_wins = last_wins; q_votes = votes })
+    (list_size (int_range 0 (3 * n)) vote)
+
+(* The code [Quorum.best] replaced in SBFT's collector: the distinct
+   digests sorted, each recounted, the first of the highest count kept. *)
+let sort_and_recount votes =
+  List.sort_uniq compare (List.map snd votes)
+  |> List.fold_left
+       (fun acc d ->
+         let count = List.length (List.filter (fun (_, v) -> v = d) votes) in
+         match acc with Some (_, c) when c >= count -> acc | _ -> Some (d, count))
+       None
+
+(* Quorum against an association list from replica id to its vote. *)
+let quorum_qcheck =
+  QCheck.Test.make ~name:"quorum matches an association list" ~count:1000
+    (QCheck.make ~print:print_quorum_case quorum_cases) (fun c ->
+      let n = c.q_n in
+      let nf = Config.nf (Config.make ~n ()) in
+      let q = Quorum.create n in
+      let model = ref [] in
+      List.for_all
+        (fun (src, digest) ->
+          let expected =
+            if src < 0 || src >= n then Quorum.Out_of_range
+            else if List.mem_assoc src !model then Quorum.Duplicate
+            else Quorum.Added
+          in
+          let outcome =
+            if c.q_last_wins then Quorum.replace q ~src ~digest
+            else Quorum.add q ~src ~digest
+          in
+          (match expected with
+          | Quorum.Added -> model := (src, digest) :: !model
+          | Quorum.Duplicate when c.q_last_wins ->
+              model := (src, digest) :: List.remove_assoc src !model
+          | Quorum.Duplicate | Quorum.Out_of_range -> ());
+          let votes = List.sort compare !model in
+          let voters_of d =
+            List.filter_map (fun (id, v) -> if v = d then Some id else None) votes
+          in
+          let best_ok =
+            match sort_and_recount votes with
+            | Some (_, count) as b when count >= nf -> Quorum.best q = b
+            | Some _ | None -> true
+          in
+          outcome = expected
+          && Quorum.size q = List.length votes
+          && Quorum.signers q = List.map fst votes
+          && List.for_all
+               (fun d ->
+                 Quorum.count q d = List.length (voters_of d)
+                 && Quorum.signers ~digest:d q = voters_of d)
+               [ "a"; "b"; "c"; "z" ]
+          && best_ok)
+        c.q_votes)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -997,4 +1078,5 @@ let () =
       ( "replica_ctx",
         [ QCheck_alcotest.to_alcotest executed_log_qcheck ] );
       ("rid_table", List.map QCheck_alcotest.to_alcotest rid_table_qcheck);
+      ("quorum", [ QCheck_alcotest.to_alcotest quorum_qcheck ]);
     ]
