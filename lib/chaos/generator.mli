@@ -26,8 +26,6 @@ type profile = {
     exceeding the fault budget is dropped, so the generated schedule may
     be smaller. *)
 
-val default_profile : profile
-
 val byzantine_ok : protocol:string -> bool
 (** Whether a protocol tolerates byzantine behavior flips. [true] for all
     five protocols: every one now has a replica-driven view change, so a

@@ -45,7 +45,6 @@ val sort : t -> t
     identically across runs of the same seed. *)
 
 val pp_action : Format.formatter -> action -> unit
-val pp_entry : Format.formatter -> entry -> unit
 
 val pp : Format.formatter -> t -> unit
 (** One entry per line, fixed-precision times: the printout is the

@@ -8,35 +8,17 @@ let normalize_key key =
 let xor_pad key byte =
   String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor byte))
 
-(* The two padded key blocks are fixed per key, so their compressions are
-   paid once at [prepare] time; each message then costs only the inner
-   stream plus one outer block. *)
-type prepared = {
-  inner : Sha256.midstate;  (* state after (key xor ipad) *)
-  outer : Sha256.midstate;  (* state after (key xor opad) *)
-}
-
-let prepare ~key =
-  let key = normalize_key key in
-  {
-    inner = Sha256.midstate_of_block (xor_pad key 0x36);
-    outer = Sha256.midstate_of_block (xor_pad key 0x5c);
-  }
-
-let mac_list_prepared p parts =
+(* HMAC's two padded key blocks, compressed once per tag; the message
+   then streams through the inner state and one outer block follows. *)
+let mac ~key msg =
   Poe_prof.Prof.(bump ix_macs_computed);
-  let ctx = Sha256.resume p.inner in
-  List.iter (Sha256.feed ctx) parts;
+  let key = normalize_key key in
+  let ctx = Sha256.resume (Sha256.midstate_of_block (xor_pad key 0x36)) in
+  Sha256.feed ctx msg;
   let inner_digest = Sha256.finalize ctx in
-  let ctx = Sha256.resume p.outer in
+  let ctx = Sha256.resume (Sha256.midstate_of_block (xor_pad key 0x5c)) in
   Sha256.feed ctx inner_digest;
   Sha256.finalize ctx
-
-let mac_prepared p msg = mac_list_prepared p [ msg ]
-
-let mac_list ~key parts = mac_list_prepared (prepare ~key) parts
-
-let mac ~key msg = mac_list ~key [ msg ]
 
 (* Constant-time fold so verification time does not leak the mismatch
    position. *)
@@ -48,8 +30,6 @@ let eq_constant_time a b =
     (fun i c -> diff := !diff lor (Char.code c lxor Char.code b.[i]))
     a;
   !diff = 0
-
-let verify_prepared p msg ~tag = eq_constant_time tag (mac_prepared p msg)
 
 let verify ~key msg ~tag = eq_constant_time tag (mac ~key msg)
 

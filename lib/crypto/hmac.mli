@@ -9,34 +9,8 @@
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag of [msg] under [key]. *)
 
-val mac_list : key:string -> string list -> string
-(** Tag of the concatenation of the parts. *)
-
 val verify : key:string -> string -> tag:string -> bool
 (** Constant-time comparison of the expected tag against [tag]. *)
-
-(** {1 Prepared keys}
-
-    HMAC pads the key into two fixed 64-byte blocks whose compressions do
-    not depend on the message. [prepare] pays those two compressions once;
-    the [_prepared] operations then cost only the message stream plus one
-    outer block, roughly halving short-message MAC cost. {!Keychain}
-    caches one prepared state per derived key. *)
-
-type prepared
-(** A key with its inner/outer padded-block SHA-256 midstates
-    precomputed. *)
-
-val prepare : key:string -> prepared
-
-val mac_prepared : prepared -> string -> string
-(** Same tag as {!mac} under the prepared key. *)
-
-val mac_list_prepared : prepared -> string list -> string
-(** Same tag as {!mac_list} under the prepared key. *)
-
-val verify_prepared : prepared -> string -> tag:string -> bool
-(** Same verdict as {!verify} under the prepared key (constant-time). *)
 
 val truncated : key:string -> string -> int -> string
 (** [truncated ~key msg n] is the first [n] bytes of the tag; the paper's

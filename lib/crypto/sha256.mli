@@ -34,9 +34,9 @@ val digest : string -> string
 (** {1 Midstates}
 
     A midstate is the hash chain value after absorbing exactly one 64-byte
-    block. HMAC's inner and outer padded key blocks are fixed per key, so
-    {!Hmac} compresses each once with {!midstate_of_block} and then pays
-    only the per-message compressions via {!resume}. *)
+    block. HMAC's inner and outer padded key blocks fill one block each,
+    so {!Hmac} compresses each with {!midstate_of_block} and streams the
+    rest of the message through {!resume}. *)
 
 type midstate
 

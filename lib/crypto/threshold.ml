@@ -41,8 +41,6 @@ let setup ~n ~threshold ~seed =
 let n scheme = scheme.n
 let threshold scheme = scheme.threshold
 
-let signer_index s = s.index
-
 (* Hash a message to a non-zero field element. Zero would make every share
    trivially zero, so it is mapped to one. *)
 let hash_to_field msg =

@@ -35,8 +35,6 @@ val setup : n:int -> threshold:int -> seed:string -> scheme * signer array
 val n : scheme -> int
 val threshold : scheme -> int
 
-val signer_index : signer -> int
-
 val sign_share : signer -> string -> share
 (** [sign_share signer msg] produces signer's share on [msg]. *)
 

@@ -35,6 +35,14 @@ let default_params ~config =
     autostart_clients = true;
   }
 
+(* The lane sampler's histogram names (utilization, queue depth), as
+   literals so a sample builds no string. *)
+let lane_histograms = function
+  | Server.Io -> ("lane.io.utilization", "lane.io.queue_depth")
+  | Server.Batcher -> ("lane.batcher.utilization", "lane.batcher.queue_depth")
+  | Server.Worker -> ("lane.worker.utilization", "lane.worker.queue_depth")
+  | Server.Execute -> ("lane.execute.utilization", "lane.execute.queue_depth")
+
 module Make (P : R.Protocol_intf.S) = struct
   type t = {
     params : params;
@@ -126,18 +134,15 @@ module Make (P : R.Protocol_intf.S) = struct
              let srv = Ctx.server (P.ctx replica) in
              Array.iteri
                (fun ri r ->
-                 let name = Server.resource_name r in
                  let busy = Server.busy_seconds srv r in
+                 let utilization, queue_depth = lane_histograms r in
                  (* Busy-seconds accrued per simulated second, summed over
                     the resource's lanes (so > 1.0 means more than one lane
                     was kept busy). *)
-                 Poe_obs.Metrics.hobs
-                   ("lane." ^ name ^ ".utilization")
+                 Poe_obs.Metrics.hobs utilization
                    ((busy -. prev.(id).(ri)) /. interval);
                  prev.(id).(ri) <- busy;
-                 Poe_obs.Metrics.hobs
-                   ("lane." ^ name ^ ".queue_depth")
-                   (Server.backlog srv r))
+                 Poe_obs.Metrics.hobs queue_depth (Server.backlog srv r))
                resources)
            replicas;
          Engine.schedule engine ~delay:interval sample
@@ -242,24 +247,14 @@ module Make (P : R.Protocol_intf.S) = struct
       (Array.fold_left (fun acc hub -> acc + Hub.completed hub) 0 t.hubs)
       t.replicas
 
+  (* The deltas read this domain's own counter cells: another pool job's
+     flush into the global accumulator must not leak into this stream. *)
   let attach_heartbeat ?on_sample t hb =
-    let prev_snap =
-      ref (Option.map Poe_obs.Metrics.snapshot (Poe_obs.Metrics.current_registry ()))
-    in
+    let prev = ref (Poe_prof.Prof.domain_counters ()) in
     every t ~interval:(Poe_live.Heartbeat.interval hb) (fun () ->
-        let deltas =
-          match Poe_obs.Metrics.current_registry () with
-          | None -> []
-          | Some reg ->
-              let snap = Poe_obs.Metrics.snapshot reg in
-              let d =
-                match !prev_snap with
-                | Some older -> Poe_obs.Metrics.delta ~older ~newer:snap
-                | None -> Poe_obs.Metrics.snapshot_counters snap
-              in
-              prev_snap := Some snap;
-              d
-        in
+        let newer = Poe_prof.Prof.domain_counters () in
+        let deltas = Poe_prof.Prof.sum_deltas ~older:!prev ~newer in
+        prev := newer;
         let sample =
           live_sample ~deltas ~seq:(Poe_live.Heartbeat.count hb) t
         in

@@ -78,7 +78,7 @@ module Make (P : R.Protocol_intf.S) : sig
       aggregate in-flight/completed client requests and
       oldest-outstanding age. Reads simulated state only, so the sample
       is deterministic per seed. [deltas] is passed through verbatim
-      (callers that track metrics snapshots supply it). *)
+      ({!attach_heartbeat} supplies the counter deltas). *)
 
   val progress_counter : t -> int
   (** Monotone cluster-wide work counter (total executed batches plus
@@ -91,8 +91,8 @@ module Make (P : R.Protocol_intf.S) : sig
     Poe_live.Heartbeat.t ->
     unit
   (** Arm a recurring sampler (via {!every}) at the heartbeat's interval:
-      each tick snapshots the domain's current metrics registry (if any)
-      for counter deltas, builds a {!live_sample} and records it.
+      each tick reads the calling domain's {!Poe_prof.Prof} cells for the
+      counter deltas, builds a {!live_sample} and records it.
       [on_sample] additionally sees each sample (the watchdog and
       [--watch] renderer hook in here). Call before {!run}. *)
 

@@ -172,6 +172,7 @@ let instrumented ?node_name ?trace ?(metrics = false) ?(profile = false)
     Prof.reset ();
     Prof.enable_regions ()
   end;
+  let counters0 = Prof.counters () in
   let cleanup () =
     Trace.clear ();
     Metrics.clear_current ();
@@ -192,7 +193,12 @@ let instrumented ?node_name ?trace ?(metrics = false) ?(profile = false)
       | Some tr, Some g -> g tr
       | _ -> ());
       (match registry with
-      | Some r -> Format.printf "%a" Metrics.pp_summary r
+      | Some r ->
+          Format.printf "counters:@.";
+          Array.iter
+            (fun (name, v) -> Format.printf "  %-40s %12d@." name v)
+            (Prof.delta ~older:counters0 ~newer:(Prof.counters ()));
+          Format.printf "%a" Metrics.pp_summary r
       | None -> ());
       if profile then begin
         (* Capture before rendering so the renderer's own allocations

@@ -49,8 +49,10 @@ val instrumented :
 (** [instrumented ?trace ?metrics f] runs [f] with a fresh trace sink
     and/or metrics registry installed as the process-wide current ones
     (clusters built inside [f] pick them up). On return the trace is
-    written to the given path in the given format and the metrics summary
-    is printed to stdout; both are uninstalled even if [f] raises.
+    written to the given path in the given format; with [metrics] every
+    {!Poe_prof.Prof} counter over the run ({!Poe_prof.Prof.delta}, in
+    [counter_defs] order) and then the histogram table are printed to
+    stdout. Both are uninstalled even if [f] raises.
     [on_trace] forces a sink even without a trace path and receives the
     (uninstalled) sink after [f] returns — this is how [--report] runs
     analysis without also writing a raw trace file.

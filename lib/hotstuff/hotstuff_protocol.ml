@@ -13,7 +13,6 @@ module Block = Poe_ledger.Block
 let name = "hotstuff"
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
 
 type Message.t +=
   | Hs_proposal of { round : int; batch : Message.batch; qc_round : int }
@@ -172,7 +171,7 @@ and request_block t r =
     let dst = if dst = Ctx.id t.ctx then (dst + 1) mod n t else dst in
     t.fetch_attempts <- t.fetch_attempts + 1;
     t.fetch_deadline <- now +. (cfg t).Config.view_timeout;
-    if Metrics.enabled () then Metrics.cincr "hotstuff.block_fetches";
+    Poe_prof.Prof.(bump ix_block_fetches);
     Ctx.send_replica t.ctx ~dst ~bytes:Message.Wire.vote
       (Hs_block_request { round = r })
   end
@@ -254,7 +253,7 @@ let rec arm_timer t =
         if Trace.enabled () then
           Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
             ~view:expected "pacemaker_timeout";
-        if Metrics.enabled () then Metrics.cincr "hotstuff.pacemaker_timeouts";
+        Poe_prof.Prof.(bump ix_pacemaker_timeouts);
         t.pacemaker_backoff <- t.pacemaker_backoff + 1;
         Ctx.send_replica t.ctx ~dst:(leader_of t expected)
           ~bytes:Message.Wire.vote
@@ -393,7 +392,7 @@ and on_new_view t ~src ~round =
     if Trace.enabled () then
       Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
         ~view:round "new_view";
-    if Metrics.enabled () then Metrics.cincr "hotstuff.new_views";
+    Poe_prof.Prof.(bump ix_new_views);
     t.round <- max t.round (round - 1);
     let reqs = next_batch t in
     t.proposed_for <- round;

@@ -8,8 +8,6 @@
 val breakdowns_to_string : Attribution.breakdown list -> string
 (** Human-readable per-protocol phase breakdown. *)
 
-val add_breakdowns_json : Buffer.t -> Attribution.breakdown list -> unit
-
 val breakdowns_json : Attribution.breakdown list -> string
 (** [{"protocols":[{"protocol":...,"phases":[...],"slot":{...},
     "e2e":{...}}]}] — the schema BENCH_*.json and [analyze --json]

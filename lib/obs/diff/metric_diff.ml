@@ -112,11 +112,6 @@ let diff_values ?(policies = []) a b =
   walk policies st "" (Json.strip_unstable a) (Json.strip_unstable b);
   finish st
 
-let obj_of_counters cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
-
-let diff_counters ?policies ~a ~b () =
-  diff_values ?policies (obj_of_counters a) (obj_of_counters b)
-
 (* [poe_sim profile] budgets tables:
      replies_completed 98597
      consensus.slot_started 98612 1.000152

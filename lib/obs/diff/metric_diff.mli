@@ -23,10 +23,6 @@ type policy =
           meaningful for numeric leaves *)
   | Ignore
 
-val default_policies : (string * policy) list
-(** Built-in table, matched against the final path segment: allocation
-    fields get a relative threshold, everything else is exact. *)
-
 type mismatch = {
   m_path : string;  (** dotted path to the leaf, e.g. [figures.3.wall_s] *)
   m_kind : string;
@@ -46,27 +42,16 @@ val diff_values :
   Poe_obs.Json.t ->
   outcome
 (** Structural diff of two JSON values ({!Poe_obs.Json.strip_unstable}
-    applied to both). [policies] prepends to {!default_policies}; first
-    match on the leaf's final path segment wins. *)
-
-val diff_counters :
-  ?policies:(string * policy) list ->
-  a:(string * int) list ->
-  b:(string * int) list ->
-  unit ->
-  outcome
-(** Diff two name-sorted counter tables (exact by default). *)
-
-val parse_budgets : string -> (Poe_obs.Json.t, string) result
-(** Parse a [poe_sim profile] [.budgets] table ([name total per_reply]
-    lines) into a JSON object, so budget drift flows through the same
-    tolerance machinery and report format as every other diff. *)
+    applied to both). [policies] prepends to the built-in table, which
+    gives allocation fields a relative threshold and leaves everything
+    else exact; first match on the leaf's final path segment wins. *)
 
 val diff_strings :
   ?policies:(string * policy) list -> string -> string -> (outcome, string) result
 (** Diff two artifact strings, sniffing the format: a leading [{] or [[]
     means one JSON document per line (JSONL) when every line parses, or
-    a single document; anything else is tried as a budgets table.
+    a single document; anything else is tried as a [poe_sim profile]
+    budgets table ([name total per_reply] lines).
     [Error] when either side parses as nothing. *)
 
 val diff_files :

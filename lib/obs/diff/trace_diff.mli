@@ -19,8 +19,6 @@
 
 type side = A | B
 
-val side_name : side -> string
-
 type divergence = {
   d_index : int;  (** 0-based event index at which the streams split *)
   d_ts : float;  (** simulated timestamp of side A's event (side B's when

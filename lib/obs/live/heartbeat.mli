@@ -4,8 +4,8 @@
     Every sample captures the per-replica commit/exec watermarks and
     view, the engine's event-queue depth, the client hubs' in-flight and
     completed request counts, the age of the oldest unanswered request,
-    and the {!Poe_obs.Metrics} counter deltas since the previous sample
-    (empty when no registry is installed). Everything in a sample
+    and how far each {!Poe_prof.Prof} [Sum] counter of the sampling
+    domain moved since the previous sample. Everything in a sample
     derives from simulated time and simulated activity, so for a fixed
     seed the JSONL stream is byte-identical run-to-run and across
     {!Poe_parallel.Pool} job counts.
@@ -41,7 +41,8 @@ type sample = {
   hb_oldest_age : float;
       (** age of the oldest outstanding request, seconds; 0 when idle *)
   hb_deltas : (string * int) list;
-      (** {!Poe_obs.Metrics.delta} since the previous sample, sorted *)
+      (** {!Poe_prof.Prof.sum_deltas} since the previous sample: the
+          [Sum] counters that moved, in [counter_defs] order *)
 }
 
 type t

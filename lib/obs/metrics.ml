@@ -1,5 +1,3 @@
-type counter = { mutable c : int }
-
 (* Log-bucketed histogram: bucket boundaries grow geometrically by
    [bucket_ratio] from [lo] to [hi], giving ~9% worst-case relative
    error on quantiles over the full 1 ns .. 10 000 s span. *)
@@ -17,30 +15,19 @@ type histogram = {
   buckets : int array;
 }
 
-type t = {
-  counters : (string, counter) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-}
+type t = (string, histogram) Hashtbl.t
 
-let create () =
-  { counters = Hashtbl.create 64; histograms = Hashtbl.create 64 }
-
-let get_or tbl name mk =
-  match Hashtbl.find_opt tbl name with
-  | Some v -> v
-  | None ->
-      let v = mk () in
-      Hashtbl.replace tbl name v;
-      v
-
-let counter t name = get_or t.counters name (fun () -> { c = 0 })
+let create () : t = Hashtbl.create 64
 
 let histogram t name =
-  get_or t.histograms name (fun () ->
-      { n = 0; sum = 0.0; max_v = 0.0; buckets = Array.make n_buckets 0 })
-
-let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
+  match Hashtbl.find_opt t name with
+  | Some h -> h
+  | None ->
+      let h =
+        { n = 0; sum = 0.0; max_v = 0.0; buckets = Array.make n_buckets 0 }
+      in
+      Hashtbl.replace t name h;
+      h
 
 let bucket_of v =
   if v <= lo then 0
@@ -98,101 +85,23 @@ let clear_current () = current () := None
 let enabled () = match !(current ()) with Some _ -> true | None -> false
 let current_registry () = !(current ())
 
-let cincr ?by name =
-  match !(current ()) with None -> () | Some t -> incr ?by (counter t name)
-
 let hobs name v =
   match !(current ()) with None -> () | Some t -> observe (histogram t name) v
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots and deltas                                                *)
-
-type snapshot = { snap_counters : (string * int) list (* sorted by name *) }
-
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-
-let snapshot t =
-  {
-    snap_counters =
-      sorted_keys t.counters
-      |> List.map (fun k -> (k, (Hashtbl.find t.counters k).c));
-  }
-
-let snapshot_counters s = s.snap_counters
-
-(* Both lists are name-sorted, so the delta is a linear merge; counters
-   only ever appear (never disappear) in the same registry, so entries of
-   [older] missing from [newer] cannot occur and are ignored. *)
-let delta ~older ~newer =
-  let rec merge olds news acc =
-    match (olds, news) with
-    | _, [] -> List.rev acc
-    | [], (k, v) :: rest ->
-        merge [] rest (if v <> 0 then (k, v) :: acc else acc)
-    | (ko, vo) :: orest, (kn, vn) :: nrest ->
-        let c = compare ko kn in
-        if c < 0 then merge orest news acc
-        else if c > 0 then
-          merge olds nrest (if vn <> 0 then (kn, vn) :: acc else acc)
-        else
-          merge orest nrest
-            (if vn <> vo then (kn, vn - vo) :: acc else acc)
-  in
-  merge older.snap_counters newer.snap_counters []
-
-(* ------------------------------------------------------------------ *)
 (* Dump                                                                *)
 
-type row =
-  | Counter_row of string * int
-  | Histogram_row of string * int * float * float * float * float * float
-
-let rows t =
-  let counters =
-    sorted_keys t.counters
-    |> List.map (fun k -> Counter_row (k, (Hashtbl.find t.counters k).c))
-  in
-  let hists =
-    sorted_keys t.histograms
-    |> List.map (fun k ->
-           let h = Hashtbl.find t.histograms k in
-           let mean = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n in
-           Histogram_row
-             ( k,
-               h.n,
-               mean,
-               quantile h 0.50,
-               quantile h 0.95,
-               quantile h 0.99,
-               h.max_v ))
-  in
-  counters @ hists
-
 let pp_summary fmt t =
-  let rs = rows t in
-  let has_counters =
-    List.exists (function Counter_row _ -> true | _ -> false) rs
-  in
-  let has_hists =
-    List.exists (function Histogram_row _ -> true | _ -> false) rs
-  in
-  if has_counters then begin
-    Format.fprintf fmt "counters:@.";
-    List.iter
-      (function
-        | Counter_row (name, v) -> Format.fprintf fmt "  %-40s %12d@." name v
-        | Histogram_row _ -> ())
-      rs
-  end;
-  if has_hists then begin
+  let names = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare in
+  if names <> [] then begin
     Format.fprintf fmt "histograms:%41s %10s %10s %10s %10s %10s@." "count"
       "mean" "p50" "p95" "p99" "max";
     List.iter
-      (function
-        | Histogram_row (name, n, mean, p50, p95, p99, max_v) ->
-            Format.fprintf fmt "  %-40s %9d %10.6f %10.6f %10.6f %10.6f %10.6f@."
-              name n mean p50 p95 p99 max_v
-        | Counter_row _ -> ())
-      rs
+      (fun name ->
+        let h = Hashtbl.find t name in
+        let mean = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n in
+        Format.fprintf fmt "  %-40s %9d %10.6f %10.6f %10.6f %10.6f %10.6f@."
+          name h.n mean (quantile h 0.50) (quantile h 0.95) (quantile h 0.99)
+          h.max_v)
+      names
   end

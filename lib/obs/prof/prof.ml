@@ -13,22 +13,33 @@ let ix_events_pushed = 0
 let ix_events_popped = 1
 let ix_queue_high_water = 2
 let ix_msgs_sent = 3
-let ix_msgs_delivered = 4
-let ix_msgs_dropped = 5
-let ix_batches_built = 6
-let ix_batched_requests = 7
-let ix_batches_closed = 8
-let ix_batches_executed = 9
-let ix_txns_executed = 10
-let ix_rollbacks = 11
-let ix_slots_abandoned = 12
-let ix_requests_submitted = 13
-let ix_retransmits = 14
-let ix_replies_completed = 15
-let ix_sha256_blocks = 16
-let ix_macs_computed = 17
-let ix_prepared_hits = 18
-let ix_prepared_misses = 19
+let ix_bytes_sent = 4
+let ix_msgs_delivered = 5
+let ix_msgs_dropped = 6
+let ix_batches_built = 7
+let ix_batched_requests = 8
+let ix_batches_closed = 9
+let ix_closed_requests = 10
+let ix_batches_executed = 11
+let ix_txns_executed = 12
+let ix_rollbacks = 13
+let ix_slots_abandoned = 14
+let ix_requests_submitted = 15
+let ix_retransmits = 16
+let ix_replies_completed = 17
+let ix_sha256_blocks = 18
+let ix_macs_computed = 19
+let ix_checkpoints = 20
+let ix_state_transfer_requests = 21
+let ix_divergence_repairs = 22
+let ix_snapshots_adopted = 23
+let ix_suspicions = 24
+let ix_view_changes = 25
+let ix_new_views = 26
+let ix_slow_paths = 27
+let ix_commit_certs = 28
+let ix_block_fetches = 29
+let ix_pacemaker_timeouts = 30
 
 let counter_defs =
   [|
@@ -36,11 +47,13 @@ let counter_defs =
     ("sim.events_popped", Sum);
     ("sim.queue_high_water", Max);
     ("net.msgs_sent", Sum);
+    ("net.bytes_sent", Sum);
     ("net.msgs_delivered", Sum);
     ("net.msgs_dropped", Sum);
     ("msg.batches_built", Sum);
     ("msg.batched_requests", Sum);
     ("pipeline.batches_closed", Sum);
+    ("pipeline.batched_requests", Sum);
     ("exec.batches_executed", Sum);
     ("exec.txns_executed", Sum);
     ("exec.rollbacks", Sum);
@@ -50,13 +63,22 @@ let counter_defs =
     ("hub.replies_completed", Sum);
     ("sha256.blocks_compressed", Sum);
     ("hmac.macs_computed", Sum);
-    ("keychain.prepared_hits", Sum);
-    ("keychain.prepared_misses", Sum);
+    ("recovery.checkpoints", Sum);
+    ("recovery.state_transfer_requests", Sum);
+    ("recovery.divergence_repairs", Sum);
+    ("recovery.snapshots_adopted", Sum);
+    ("recovery.suspicions", Sum);
+    ("view.changes", Sum);
+    ("view.new_views", Sum);
+    ("sbft.slow_paths", Sum);
+    ("zyzzyva.commit_certs", Sum);
+    ("hotstuff.block_fetches", Sum);
+    ("hotstuff.pacemaker_timeouts", Sum);
   |]
 
 let n_counters = Array.length counter_defs
 
-let () = assert (n_counters = ix_prepared_misses + 1)
+let () = assert (n_counters = ix_pacemaker_timeouts + 1)
 
 let cells_key : int array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make n_counters 0)
@@ -261,6 +283,22 @@ let counters () =
   Mutex.unlock merge_mutex;
   merge_cells_into combined (cells ());
   Array.mapi (fun i v -> (fst counter_defs.(i), v)) combined
+
+let domain_counters () =
+  Array.mapi (fun i v -> (fst counter_defs.(i), v)) (cells ())
+
+let delta ~older ~newer =
+  Array.mapi
+    (fun i (name, v) ->
+      match snd counter_defs.(i) with
+      | Sum -> (name, v - snd older.(i))
+      | Max -> (name, v))
+    newer
+
+let sum_deltas ~older ~newer =
+  List.filteri
+    (fun i (_, d) -> snd counter_defs.(i) = Sum && d <> 0)
+    (Array.to_list (delta ~older ~newer))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

@@ -9,7 +9,10 @@
     {ul
     {- A fixed {b counter registry}: always-on, branch-free integer
        counters bumped from the hot paths (event queue, network, message
-       construction, execution, crypto). Counter totals are a pure
+       construction, execution, crypto) and from the rarer protocol
+       events (checkpoints, view changes, slow paths). It is the
+       simulator's only counter store; {!Poe_obs.Metrics} keeps only
+       histograms. Counter totals are a pure
        function of the simulated workload, so for a fixed seed they are
        byte-identical run-to-run and across job counts — which makes them
        diffable regression baselines and a check of the paper's
@@ -37,45 +40,38 @@ type kind =
   | Sum  (** totals add across domains *)
   | Max  (** high-water marks: merged with [max] *)
 
-val ix_events_pushed : int  (** [sim.events_pushed] *)
-
-val ix_events_popped : int  (** [sim.events_popped] *)
-
-val ix_queue_high_water : int  (** [sim.queue_high_water] (Max) *)
-
-val ix_msgs_sent : int  (** [net.msgs_sent] *)
-
-val ix_msgs_delivered : int  (** [net.msgs_delivered] *)
-
-val ix_msgs_dropped : int  (** [net.msgs_dropped] *)
-
-val ix_batches_built : int  (** [msg.batches_built] *)
-
-val ix_batched_requests : int  (** [msg.batched_requests] *)
-
-val ix_batches_closed : int  (** [pipeline.batches_closed] *)
-
-val ix_batches_executed : int  (** [exec.batches_executed] *)
-
-val ix_txns_executed : int  (** [exec.txns_executed] *)
-
-val ix_rollbacks : int  (** [exec.rollbacks] *)
-
-val ix_slots_abandoned : int  (** [exec.slots_abandoned] *)
-
-val ix_requests_submitted : int  (** [hub.requests_submitted] *)
-
-val ix_retransmits : int  (** [hub.retransmits] *)
-
-val ix_replies_completed : int  (** [hub.replies_completed] *)
-
-val ix_sha256_blocks : int  (** [sha256.blocks_compressed] *)
-
-val ix_macs_computed : int  (** [hmac.macs_computed] *)
-
-val ix_prepared_hits : int  (** [keychain.prepared_hits] *)
-
-val ix_prepared_misses : int  (** [keychain.prepared_misses] *)
+(* Counter indices, each with the [counter_defs] name it counts. *)
+val ix_events_pushed : int  (* [sim.events_pushed] *)
+val ix_events_popped : int  (* [sim.events_popped] *)
+val ix_queue_high_water : int  (* [sim.queue_high_water] (Max) *)
+val ix_msgs_sent : int  (* [net.msgs_sent] *)
+val ix_bytes_sent : int  (* [net.bytes_sent] *)
+val ix_msgs_delivered : int  (* [net.msgs_delivered] *)
+val ix_msgs_dropped : int  (* [net.msgs_dropped] *)
+val ix_batches_built : int  (* [msg.batches_built] *)
+val ix_batched_requests : int  (* [msg.batched_requests] *)
+val ix_batches_closed : int  (* [pipeline.batches_closed] *)
+val ix_closed_requests : int  (* [pipeline.batched_requests] *)
+val ix_batches_executed : int  (* [exec.batches_executed] *)
+val ix_txns_executed : int  (* [exec.txns_executed] *)
+val ix_rollbacks : int  (* [exec.rollbacks] *)
+val ix_slots_abandoned : int  (* [exec.slots_abandoned] *)
+val ix_requests_submitted : int  (* [hub.requests_submitted] *)
+val ix_retransmits : int  (* [hub.retransmits] *)
+val ix_replies_completed : int  (* [hub.replies_completed] *)
+val ix_sha256_blocks : int  (* [sha256.blocks_compressed] *)
+val ix_macs_computed : int  (* [hmac.macs_computed] *)
+val ix_checkpoints : int  (* [recovery.checkpoints] *)
+val ix_state_transfer_requests : int  (* [recovery.state_transfer_requests] *)
+val ix_divergence_repairs : int  (* [recovery.divergence_repairs] *)
+val ix_snapshots_adopted : int  (* [recovery.snapshots_adopted] *)
+val ix_suspicions : int  (* [recovery.suspicions] *)
+val ix_view_changes : int  (* [view.changes] *)
+val ix_new_views : int  (* [view.new_views] *)
+val ix_slow_paths : int  (* [sbft.slow_paths] *)
+val ix_commit_certs : int  (* [zyzzyva.commit_certs] *)
+val ix_block_fetches : int  (* [hotstuff.block_fetches] *)
+val ix_pacemaker_timeouts : int  (* [hotstuff.pacemaker_timeouts] *)
 
 val counter_defs : (string * kind) array
 (** Name and merge kind of every counter, in index order. *)
@@ -93,6 +89,24 @@ val counters : unit -> (string * int) array
 (** Current totals in index order: the global accumulator (everything
     flushed by finished pool jobs) combined with the calling domain's
     own cells. Does not mutate anything. *)
+
+val domain_counters : unit -> (string * int) array
+(** The calling domain's own cells only, in index order. Other pool
+    jobs' flushes never show up here, so differences between two reads
+    cover exactly the work this domain did in between. *)
+
+val delta :
+  older:(string * int) array -> newer:(string * int) array -> (string * int) array
+(** Counters over an interval, in index order: the difference for [Sum]
+    counters and [newer]'s value for [Max] counters. Both arguments
+    come from {!counters} or {!domain_counters}. *)
+
+val sum_deltas :
+  older:(string * int) array -> newer:(string * int) array -> (string * int) list
+(** The [Sum] counters of {!delta} that moved, in index order (the
+    heartbeat's per-interval deltas). [Max] counters are left out: a
+    pool worker resets its cells between jobs, so their values depend
+    on the job count. *)
 
 val flush_domain : unit -> unit
 (** Merge the calling domain's counters and regions into the global

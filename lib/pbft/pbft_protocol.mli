@@ -25,5 +25,4 @@ val slot_digest : view:int -> seqno:int -> batch_digest:string -> string
 
 val view_of : replica -> int
 val k_exec : replica -> int
-val in_view_change : replica -> bool
 val force_suspect : replica -> unit

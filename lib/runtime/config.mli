@@ -77,4 +77,3 @@ val primary_of_view : t -> int -> int
 (** [view mod n], the paper's rotation rule. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_auth_scheme : Format.formatter -> auth_scheme -> unit

@@ -121,10 +121,6 @@ let finish t ~view ~seqno ~batch ~proof =
     | Some dur -> Poe_obs.Metrics.hobs "exec.slot_latency" dur
     | None -> ()
   end;
-  if Poe_obs.Metrics.enabled () then begin
-    Poe_obs.Metrics.cincr "exec.batches";
-    Poe_obs.Metrics.cincr ~by:(Array.length batch.Message.reqs) "exec.txns"
-  end;
   (* One designated observer replica counts the cluster's consensus
      decisions: a plain backup (never the primary of view 0, never SBFT's
      collector, never the replica the failure experiments crash), so its

@@ -232,10 +232,8 @@ let complete t rs =
           ]
         "reply"
     end;
-    if Poe_obs.Metrics.enabled () then begin
-      Poe_obs.Metrics.cincr "client.completed";
-      Poe_obs.Metrics.hobs "client.latency" (now -. rs.req.Message.submitted)
-    end;
+    if Poe_obs.Metrics.enabled () then
+      Poe_obs.Metrics.hobs "client.latency" (now -. rs.req.Message.submitted);
     submit_next t rs.req.Message.client
   end
 
@@ -270,7 +268,6 @@ let handle_timeout t rs =
       ~cat:"client"
       ~args:[ ("retries", Poe_obs.Trace.I rs.retries) ]
       "request_timeout";
-  if Poe_obs.Metrics.enabled () then Poe_obs.Metrics.cincr "client.timeouts";
   match t.hooks.on_timeout with
   | Some f -> f t rs
   | None -> forward_to_all t rs

@@ -88,7 +88,6 @@ val config : t -> Config.t
 val now : t -> float
 
 val broadcast_replicas : t -> bytes:int -> Message.t -> unit
-val send_to_replica : t -> dst:int -> bytes:int -> Message.t -> unit
 
 val complete : t -> request_state -> unit
 (** Mark a request executed: records latency, retires it, and lets the

@@ -74,12 +74,6 @@ let batch_of_requests ~materialize reqs =
   in
   { digest; reqs }
 
-let batch_summary b =
-  Printf.sprintf "batch[%d reqs, digest=%s]" (Array.length b.reqs)
-    (if String.length b.digest > 8 then
-       Sha256.to_hex (String.sub b.digest 0 4)
-     else b.digest)
-
 module Wire = struct
   let header = 250
   let per_txn = 52 (* 250 + 100*52 = 5450 =~ paper's 5400 B PROPOSE *)

@@ -81,9 +81,6 @@ val batch_of_requests : materialize:bool -> request list -> batch
 (** Build a batch; computes the real digest when materializing, or a cheap
     synthetic digest otherwise. *)
 
-val batch_summary : batch -> string
-(** Short printable form for logs and tests. *)
-
 (** {1 Wire sizes}
 
     Byte sizes matching §IV: with batch size 100 and standard payload, a
@@ -96,8 +93,6 @@ module Wire : sig
 
   val per_txn : int
   (** Marginal PROPOSE bytes per transaction. *)
-
-  val response_base : int
 
   val propose : Config.t -> int
   (** Size of a full-batch proposal under the config's payload mode. *)

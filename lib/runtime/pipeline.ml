@@ -37,6 +37,7 @@ let close_batch t =
   if size > 0 then begin
     let reqs = List.init size (fun _ -> Queue.pop t.queue) in
     Poe_prof.Prof.(bump ix_batches_closed);
+    Poe_prof.Prof.(bump_by ix_closed_requests size);
     if Poe_obs.Trace.enabled () then
       Poe_obs.Trace.instant ~ts:(Replica_ctx.now t.ctx)
         ~node:(Replica_ctx.id t.ctx) ~cat:"pipeline"
@@ -47,8 +48,6 @@ let close_batch t =
           ]
         "close_batch";
     if Poe_obs.Metrics.enabled () then begin
-      Poe_obs.Metrics.cincr "pipeline.batches";
-      Poe_obs.Metrics.cincr ~by:size "pipeline.batched_requests";
       Poe_obs.Metrics.hobs "pipeline.batch_size" (float_of_int size);
       Poe_obs.Metrics.hobs "pipeline.queue_depth"
         (float_of_int (Queue.length t.queue))
@@ -102,8 +101,6 @@ let add_request t req =
     Queue.push req t.queue;
     try_dispatch t
   end
-
-let seqno_opened t = t.in_flight <- t.in_flight + 1
 
 let reset_window t =
   t.in_flight <- 0;

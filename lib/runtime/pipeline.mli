@@ -20,9 +20,6 @@ val add_request : t -> Message.request -> unit
 (** Enqueue a client request (charges batch-thread CPU; duplicates are
     dropped). *)
 
-val seqno_opened : t -> unit
-(** The protocol proposed a batch, consuming a window slot. *)
-
 val seqno_closed : t -> unit
 (** A consensus slot completed (executed or abandoned); frees a window
     slot and may trigger the next batch. *)

@@ -125,8 +125,7 @@ let stabilize t ~seqno =
     if Poe_obs.Trace.enabled () then
       Poe_obs.Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx)
         ~cat:"recovery" ~seqno "checkpoint_stable";
-    if Poe_obs.Metrics.enabled () then
-      Poe_obs.Metrics.cincr "recovery.checkpoints";
+    Poe_prof.Prof.(bump ix_checkpoints);
     Exec.set_stable t.exec seqno;
     Ctx.stable_checkpoint t.ctx ~seqno;
     Exec.gc_below t.exec ~seqno;
@@ -149,8 +148,7 @@ let request_state_transfer t ~from_peers =
           ~cat:"recovery"
           ~args:[ ("peer", Poe_obs.Trace.I peer) ]
           "state_transfer_request";
-      if Poe_obs.Metrics.enabled () then
-        Poe_obs.Metrics.cincr "recovery.state_transfer_requests";
+      Poe_prof.Prof.(bump ix_state_transfer_requests);
       Ctx.send_replica t.ctx ~dst:peer ~bytes:Message.Wire.vote
         (Message.State_request { from_seqno = Exec.k_exec t.exec })
     end
@@ -179,8 +177,7 @@ let on_vote t ~src ~seqno ~digest =
         if Poe_obs.Trace.enabled () then
           Poe_obs.Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx)
             ~cat:"recovery" ~seqno "divergence_repair";
-        if Poe_obs.Metrics.enabled () then
-          Poe_obs.Metrics.cincr "recovery.divergence_repairs";
+        Poe_prof.Prof.(bump ix_divergence_repairs);
         ignore (Exec.rollback_to t.exec ~seqno:(Exec.stable t.exec));
         request_state_transfer t
           ~from_peers:(Quorum.signers ~digest bucket)
@@ -234,8 +231,7 @@ let on_state_snapshot t ~upto ~rows ~blocks ~entries =
     if Poe_obs.Trace.enabled () then
       Poe_obs.Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx)
         ~cat:"recovery" ~seqno:upto "snapshot_adopted";
-    if Poe_obs.Metrics.enabled () then
-      Poe_obs.Metrics.cincr "recovery.snapshots_adopted";
+    Poe_prof.Prof.(bump ix_snapshots_adopted);
     Exec.adopt_snapshot t.exec ~upto ~rows ~blocks;
     Ctx.stable_checkpoint t.ctx ~seqno:upto;
     t.on_stable upto
@@ -309,8 +305,7 @@ let rec sweep t =
       List.iter
         (fun (k, r) -> Hashtbl.replace t.watched k (r, deadline))
         keys;
-      if Poe_obs.Metrics.enabled () then
-        Poe_obs.Metrics.cincr "recovery.suspicions";
+      Poe_prof.Prof.(bump ix_suspicions);
       t.on_suspect ()
     end
     else if Exec.k_exec t.exec > t.last_vote_sent then

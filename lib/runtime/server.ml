@@ -10,6 +10,14 @@ let resource_name = function
   | Worker -> "worker"
   | Execute -> "execute"
 
+(* Histogram names (queueing wait, service time), as literals so a
+   metrics-on job builds no string. *)
+let histograms = function
+  | Io -> ("server.io.wait", "server.io.service")
+  | Batcher -> ("server.batcher.wait", "server.batcher.service")
+  | Worker -> ("server.worker.wait", "server.worker.service")
+  | Execute -> ("server.execute.wait", "server.execute.service")
+
 (* Trace thread ids: 0 is the node's protocol track; lanes get 1..4. *)
 let resource_tid = function Io -> 1 | Batcher -> 2 | Worker -> 3 | Execute -> 4
 
@@ -70,19 +78,28 @@ let submit t resource ~cost k =
      load-and-branch and allocates nothing. Zero-cost jobs are pure
      event-ordering hops, not work; they would only add noise. *)
   if cost > 0.0 then begin
-    let name = resource_name resource in
     if Trace.enabled () then
       Trace.complete ~tid:(resource_tid resource)
         ~args:[ ("wait", Trace.F (start -. now)); ("lane", Trace.I lane) ]
-        ~ts:start ~dur:cost ~node:t.node ~cat:"server" name;
+        ~ts:start ~dur:cost ~node:t.node ~cat:"server"
+        (resource_name resource);
     if Metrics.enabled () then begin
-      Metrics.hobs ("server." ^ name ^ ".wait") (start -. now);
-      Metrics.hobs ("server." ^ name ^ ".service") cost
+      let wait, service = histograms resource in
+      Metrics.hobs wait (start -. now);
+      Metrics.hobs service cost
     end
   end;
   Engine.schedule t.engine ~delay:(finish -. now) k
 
-let busy_seconds t resource = (pool t resource).busy
+(* [busy] counts a job's whole cost when it is submitted. Past [now] each
+   lane runs its queued jobs back to back up to [free_at], so that tail
+   is exactly the work handed in but not yet done. *)
+let busy_seconds t resource =
+  let pool = pool t resource in
+  let now = Engine.now t.engine in
+  Array.fold_left
+    (fun acc free_at -> acc -. Float.max 0.0 (free_at -. now))
+    pool.busy pool.free_at
 
 let backlog t resource =
   let pool = pool t resource in

@@ -30,18 +30,15 @@ val create :
 val node : t -> int
 (** The [node] label given at creation ([-1] if none). *)
 
-val resource_name : resource -> string
-(** Stable lowercase name ("io", "batcher", "worker", "execute") used in
-    metric names and trace events. *)
-
 val submit : t -> resource -> cost:float -> (unit -> unit) -> unit
 (** Run the continuation once a lane of [resource] has spent [cost] seconds
     on the job. Zero-cost jobs still pass through the queue (and hence run
     after the current event), preserving event ordering. *)
 
 val busy_seconds : t -> resource -> float
-(** Total CPU seconds consumed so far on the resource, for utilization
-    reporting. *)
+(** CPU seconds the resource's lanes have worked by now, summed over
+    lanes, for utilization reporting. Work submitted but still queued or
+    running counts only up to the current time. *)
 
 val backlog : t -> resource -> float
 

@@ -1,5 +1,5 @@
 module Ctx = Replica_ctx
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 
 type status = Active | In_view_change of int
 
@@ -64,7 +64,7 @@ let install t ~new_view vcs =
   t.status <- Active;
   t.round <- 0;
   Ctx.trace_instant t.ctx ~cat:t.name ~view:new_view "new_view";
-  if Metrics.enabled () then Metrics.cincr (t.name ^ ".new_views");
+  Prof.(bump ix_new_views);
   t.last_nv <- Some (new_view, vcs)
 
 (* ------------------------------------------------------------------ *)
@@ -207,7 +207,7 @@ module Make (P : CERTIFICATE) = struct
     in
     if (not already_requested) && from_view >= t.view then begin
       Ctx.trace_instant t.ctx ~cat:t.name ~view:t.view "view_change";
-      if Metrics.enabled () then Metrics.cincr (t.name ^ ".view_changes");
+      Prof.(bump ix_view_changes);
       (match t.status with
       | Active -> P.halt r ~from_view
       | In_view_change _ -> ());

@@ -33,8 +33,8 @@ type status = Active | In_view_change of int  (** the view being left *)
 type 'c t = private {
   ctx : Replica_ctx.t;
   name : string;
-      (** protocol name: the trace category, and the prefix of the
-          ["<name>.view_changes"] and ["<name>.new_views"] counters *)
+      (** protocol name: the trace category of the view-change
+          instants *)
   mutable view : int;  (** the installed view *)
   mutable status : status;
   store : (int, (int, 'c) Hashtbl.t) Hashtbl.t;
@@ -60,10 +60,6 @@ val in_view_change : 'c t -> bool
 
 val active_in : 'c t -> int -> bool
 (** [active_in t v]: the normal case of view [v] is running here. *)
-
-val nv_deadline_for : 'c t -> float
-(** The NV timeout for the next view change:
-    [view_timeout · 2^min(round, 6)]. *)
 
 val entries_consecutive : upto:int -> Message.exec_entry list -> bool
 (** Certificate validity shared by every protocol: the executed entries

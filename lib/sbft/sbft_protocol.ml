@@ -15,7 +15,6 @@ module Block = Poe_ledger.Block
 let name = "sbft"
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
 
 (* View-change summary: executed prefix above the stable checkpoint, plus
    two certificate strengths for in-flight slots — [certified] (a commit
@@ -289,7 +288,7 @@ let process_first_proof t ~view ~seqno slot ~digest ~full =
     if Trace.enabled () then
       Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
         ~seqno "slow_path";
-    if Metrics.enabled () then Metrics.cincr "sbft.slow_paths";
+    Poe_prof.Prof.(bump ix_slow_paths);
     let c = costs t in
     Ctx.work t.ctx Server.Worker
       ~cost:(c.Cost.ts_verify +. c.Cost.ts_share_sign)

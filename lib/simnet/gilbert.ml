@@ -26,11 +26,6 @@ let dwell t rng =
 
 let flip t = t.state <- (match t.state with Good -> Bad | Bad -> Good)
 
-let steady_state_loss t =
-  (* Time-weighted average loss: dwell fractions weight the two states. *)
-  let total = t.mean_good +. t.mean_bad in
-  ((t.mean_good *. t.loss_good) +. (t.mean_bad *. t.loss_bad)) /. total
-
 let pp fmt t =
   Format.fprintf fmt "gilbert[good %.3f/%.3fs bad %.3f/%.3fs now=%s]"
     t.loss_good t.mean_good t.loss_bad t.mean_bad

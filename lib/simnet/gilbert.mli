@@ -36,7 +36,4 @@ val dwell : t -> Rng.t -> float
 val flip : t -> unit
 (** Transition to the other state. *)
 
-val steady_state_loss : t -> float
-(** Long-run average loss probability (dwell-time weighted). *)
-
 val pp : Format.formatter -> t -> unit

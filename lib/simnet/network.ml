@@ -12,7 +12,6 @@ type 'msg t = {
   blocked : (int * int, unit) Hashtbl.t;
   mutable sent_messages : int;
   mutable sent_bytes : int;
-  mutable dropped_messages : int;
   mutable next_mid : int;
       (* monotone message id; ties a "send" trace event to its matching
          "deliver"/"drop" so the analysis layer can build a causal graph *)
@@ -35,7 +34,6 @@ let create ~engine ~n_nodes ~latency ?(bandwidth_bytes_per_s = None)
     blocked = Hashtbl.create 16;
     sent_messages = 0;
     sent_bytes = 0;
-    dropped_messages = 0;
     next_mid = 0;
   }
 
@@ -50,29 +48,22 @@ let set_handler t id handler =
   t.handlers.(id) <- Some handler
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
 module Prof = Poe_prof.Prof
 
-(* Hot path: tracing and metrics are pre-guarded so a disabled run pays
-   one load-and-branch per message and allocates nothing. *)
+(* Hot path: tracing is pre-guarded so a disabled run pays one
+   load-and-branch per message and allocates nothing. *)
 let trace_drop t ~mid ~src ~dst ~bytes =
   Prof.bump Prof.ix_msgs_dropped;
   if Trace.enabled () then
     Trace.instant ~ts:(Engine.now t.engine) ~node:src ~cat:"net"
       ~args:[ ("mid", Trace.I mid); ("dst", Trace.I dst); ("bytes", Trace.I bytes) ]
-      "drop";
-  if Metrics.enabled () then Metrics.cincr "net.dropped_messages"
+      "drop"
 
 let deliver t ~mid ~src ~dst ~bytes msg =
-  if t.crashed.(dst) then begin
-    t.dropped_messages <- t.dropped_messages + 1;
-    trace_drop t ~mid ~src ~dst ~bytes
-  end
+  if t.crashed.(dst) then trace_drop t ~mid ~src ~dst ~bytes
   else
     match t.handlers.(dst) with
-    | None ->
-        t.dropped_messages <- t.dropped_messages + 1;
-        trace_drop t ~mid ~src ~dst ~bytes
+    | None -> trace_drop t ~mid ~src ~dst ~bytes
     | Some handler ->
         Prof.bump Prof.ix_msgs_delivered;
         if Trace.enabled () then
@@ -82,6 +73,13 @@ let deliver t ~mid ~src ~dst ~bytes msg =
             "deliver";
         handler ~src ~bytes msg
 
+(* A lossy drop still left the sender, so it counts as sent. *)
+let count_sent t ~bytes =
+  t.sent_messages <- t.sent_messages + 1;
+  t.sent_bytes <- t.sent_bytes + bytes;
+  Prof.bump Prof.ix_msgs_sent;
+  Prof.bump_by Prof.ix_bytes_sent bytes
+
 let send t ~src ~dst ~bytes msg =
   check_node t src;
   check_node t dst;
@@ -90,30 +88,18 @@ let send t ~src ~dst ~bytes msg =
   if
     t.crashed.(src)
     || (Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (src, dst))
-  then begin
-    t.dropped_messages <- t.dropped_messages + 1;
-    trace_drop t ~mid ~src ~dst ~bytes
-  end
+  then trace_drop t ~mid ~src ~dst ~bytes
   else if t.loss_probability > 0.0 && Rng.bool t.rng ~p:t.loss_probability
   then begin
-    t.sent_messages <- t.sent_messages + 1;
-    t.sent_bytes <- t.sent_bytes + bytes;
-    t.dropped_messages <- t.dropped_messages + 1;
-    Prof.bump Prof.ix_msgs_sent;
+    count_sent t ~bytes;
     trace_drop t ~mid ~src ~dst ~bytes
   end
   else begin
-    t.sent_messages <- t.sent_messages + 1;
-    t.sent_bytes <- t.sent_bytes + bytes;
-    Prof.bump Prof.ix_msgs_sent;
+    count_sent t ~bytes;
     if Trace.enabled () then
       Trace.instant ~ts:(Engine.now t.engine) ~node:src ~cat:"net"
         ~args:[ ("mid", Trace.I mid); ("dst", Trace.I dst); ("bytes", Trace.I bytes) ]
         "send";
-    if Metrics.enabled () then begin
-      Metrics.cincr "net.sent_messages";
-      Metrics.cincr ~by:bytes "net.sent_bytes"
-    end;
     let now = Engine.now t.engine in
     let departure =
       match t.bandwidth with
@@ -165,9 +151,3 @@ let latency_factor t = t.latency_factor
 
 let sent_messages t = t.sent_messages
 let sent_bytes t = t.sent_bytes
-let dropped_messages t = t.dropped_messages
-
-let reset_counters t =
-  t.sent_messages <- 0;
-  t.sent_bytes <- 0;
-  t.dropped_messages <- 0

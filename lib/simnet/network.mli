@@ -32,7 +32,7 @@ val engine : _ t -> Engine.t
 val set_handler : 'msg t -> int -> (src:int -> bytes:int -> 'msg -> unit) -> unit
 (** Install the delivery callback for a node. Must be set before messages
     addressed to that node arrive; deliveries to handler-less nodes are
-    dropped silently (counted in {!dropped_messages}). *)
+    dropped silently (counted in [net.msgs_dropped] of {!Poe_prof.Prof}). *)
 
 val send : 'msg t -> src:int -> dst:int -> bytes:int -> 'msg -> unit
 (** Queue a message. [bytes] is the wire size used for NIC serialization
@@ -73,5 +73,6 @@ val latency_factor : _ t -> float
 
 val sent_messages : _ t -> int
 val sent_bytes : _ t -> int
-val dropped_messages : _ t -> int
-val reset_counters : _ t -> unit
+(** This network's own totals, lossy drops included (the same figures
+    as [Prof]'s [net.msgs_sent] and [net.bytes_sent], which sum over
+    every network of the domain). *)

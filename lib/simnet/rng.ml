@@ -46,11 +46,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 
-let gaussian t ~mu ~sigma =
-  let u1 = float t 1.0 and u2 = float t 1.0 in
-  let u1 = if u1 <= 0.0 then 1e-12 else u1 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

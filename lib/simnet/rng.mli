@@ -30,8 +30,5 @@ val bool : t -> p:float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normal draw (Box–Muller). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

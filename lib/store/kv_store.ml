@@ -160,8 +160,6 @@ let result_to_string = function
   | Missing -> "missing"
   | Ok -> "ok"
 
-let pp_result fmt r = Format.pp_print_string fmt (result_to_string r)
-
 let result_equal a b =
   match (a, b) with
   | Value x, Value y -> String.equal x y

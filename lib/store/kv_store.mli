@@ -71,5 +71,4 @@ val result_to_string : result -> string
 (** ["value(N bytes)"], ["missing"] or ["ok"]: what a replica's result
     digest hashes for each applied transaction. *)
 
-val pp_result : Format.formatter -> result -> unit
 val result_equal : result -> result -> bool

@@ -15,7 +15,6 @@ module Block = Poe_ledger.Block
 let name = "zyzzyva"
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
 
 (* Replica-exchanged view-change summary: this replica's speculative
    history above its stable checkpoint, plus the highest slot it acked a
@@ -362,7 +361,7 @@ let on_commit_cert t ~seqno ~digest ~acks ~hub =
     if Trace.enabled () then
       Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name ~seqno
         "commit_cert";
-    if Metrics.enabled () then Metrics.cincr "zyzzyva.commit_certs";
+    Poe_prof.Prof.(bump ix_commit_certs);
     t.cc_upto <- max t.cc_upto seqno;
     Ctx.send_hub t.ctx ~hub ~bytes:Message.Wire.vote
       (Local_commit { seqno; digest; acks; replica = Ctx.id t.ctx })

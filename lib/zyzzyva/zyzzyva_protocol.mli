@@ -32,7 +32,6 @@ include Poe_runtime.Protocol_intf.S
 
 val view_of : replica -> int
 val k_exec : replica -> int
-val in_view_change : replica -> bool
 val stable_seqno : replica -> int
 
 val force_suspect : replica -> unit

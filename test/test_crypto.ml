@@ -7,7 +7,6 @@ module Hmac = Poe_crypto.Hmac
 module Gf61 = Poe_crypto.Gf61
 module Shamir = Poe_crypto.Shamir
 module Threshold = Poe_crypto.Threshold
-module Keychain = Poe_crypto.Keychain
 
 let hex = Sha256.to_hex
 
@@ -584,29 +583,6 @@ let threshold_qcheck =
         Result.is_error (Threshold.combine scheme ~msg shares));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Keychain                                                            *)
-
-let test_keychain () =
-  let kc = Keychain.create ~n_replicas:4 ~n_clients:2 ~seed:"kc" in
-  let r0 = Keychain.Replica 0 and r1 = Keychain.Replica 1 in
-  let c0 = Keychain.Client 0 in
-  let tag = Keychain.mac kc ~src:r0 ~dst:r1 "hello" in
-  Alcotest.(check bool) "mac verifies" true
-    (Keychain.check_mac kc ~src:r0 ~dst:r1 "hello" ~tag);
-  Alcotest.(check bool) "mac symmetric in endpoints" true
-    (Keychain.check_mac kc ~src:r1 ~dst:r0 "hello" ~tag);
-  Alcotest.(check bool) "other pair rejects" false
-    (Keychain.check_mac kc ~src:r0 ~dst:c0 "hello" ~tag);
-  let sig_ = Keychain.sign kc ~signer:c0 "req" in
-  Alcotest.(check bool) "signature verifies" true
-    (Keychain.check_sign kc ~signer:c0 "req" ~tag:sig_);
-  Alcotest.(check bool) "not forgeable as other signer" false
-    (Keychain.check_sign kc ~signer:r0 "req" ~tag:sig_);
-  Alcotest.check_raises "unknown node"
-    (Invalid_argument "Keychain: unknown node") (fun () ->
-      ignore (Keychain.mac kc ~src:(Keychain.Replica 9) ~dst:r0 "x"))
-
 let () =
   Alcotest.run "crypto"
     [
@@ -643,5 +619,4 @@ let () =
             test_threshold_combine_matches_shamir;
         ]
         @ List.map QCheck_alcotest.to_alcotest threshold_qcheck );
-      ("keychain", [ Alcotest.test_case "macs and signatures" `Quick test_keychain ]);
     ]

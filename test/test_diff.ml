@@ -166,12 +166,13 @@ let test_metric_strip_unstable () =
 
 let test_metric_counter_drift () =
   match
-    Md.diff_counters ~a:[ ("x", 1); ("y", 2) ] ~b:[ ("x", 1); ("y", 3) ] ()
+    Md.diff_strings {|{"counters":{"x":1,"y":2}}|} {|{"counters":{"x":1,"y":3}}|}
   with
-  | Md.Diverged [ m ] ->
-      Alcotest.(check string) "path" "y" m.Md.m_path;
+  | Ok (Md.Diverged [ m ]) ->
+      Alcotest.(check string) "path" "counters.y" m.Md.m_path;
       Alcotest.(check string) "kind" "value" m.Md.m_kind
-  | o -> Alcotest.failf "expected one mismatch, got:\n%s" (Md.render o)
+  | Ok o -> Alcotest.failf "expected one mismatch, got:\n%s" (Md.render o)
+  | Error e -> Alcotest.failf "diff error: %s" e
 
 let test_metric_relative_tolerance () =
   let doc alloc = Printf.sprintf {|{"allocated_bytes":%g}|} alloc in

@@ -1,14 +1,14 @@
 (* Live-observability unit tests: heartbeat serialization is byte-stable
    and unstable-taggable, the stall watchdog latches exactly when commit
-   progress stops with work outstanding, metrics snapshots diff
-   correctly, the engine step budget halts runs, flight bundles land on
+   progress stops with work outstanding, heartbeat deltas are the
+   domain's counter moves, the engine step budget halts runs, flight bundles land on
    disk with a parseable manifest, and the pool's progress notifier
    fires on sequential and pooled paths alike. *)
 
 module Heartbeat = Poe_live.Heartbeat
 module Watchdog = Poe_live.Watchdog
 module Flight = Poe_live.Flight
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 module Trace = Poe_obs.Trace
 module Engine = Poe_simnet.Engine
 module Json = Poe_obs.Json
@@ -38,7 +38,7 @@ let sample ?(seq = 0) ?(ts = 0.1) () =
     hb_inflight = 8;
     hb_completed = 123;
     hb_oldest_age = 0.0625;
-    hb_deltas = [ ("client.completed", 55); ("net.msgs_sent", 210) ];
+    hb_deltas = [ ("hub.replies_completed", 55); ("net.msgs_sent", 210) ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -47,7 +47,7 @@ let sample ?(seq = 0) ?(ts = 0.1) () =
 let test_heartbeat_line () =
   let line = Heartbeat.line_of_sample (sample ()) in
   Alcotest.(check string) "exact stable line"
-    "{\"hb\":0,\"ts\":0.100000000,\"replicas\":[{\"id\":0,\"view\":1,\"exec\":42,\"commit\":40,\"alive\":true},{\"id\":1,\"view\":1,\"exec\":41,\"commit\":40,\"alive\":false}],\"queue\":17,\"inflight\":8,\"completed\":123,\"oldest_age\":0.062500000,\"deltas\":{\"client.completed\":55,\"net.msgs_sent\":210}}\n"
+    "{\"hb\":0,\"ts\":0.100000000,\"replicas\":[{\"id\":0,\"view\":1,\"exec\":42,\"commit\":40,\"alive\":true},{\"id\":1,\"view\":1,\"exec\":41,\"commit\":40,\"alive\":false}],\"queue\":17,\"inflight\":8,\"completed\":123,\"oldest_age\":0.062500000,\"deltas\":{\"hub.replies_completed\":55,\"net.msgs_sent\":210}}\n"
     line;
   (* With a wall clock the line gains exactly one unstable-tagged field,
      and stripping it restores the stable form byte-for-byte. *)
@@ -81,7 +81,7 @@ let test_heartbeat_roundtrip_json () =
       (match Json.member "deltas" json with
       | Some deltas ->
           Alcotest.(check (option int)) "delta value" (Some 55)
-            (Option.bind (Json.member "client.completed" deltas) Json.to_int)
+            (Option.bind (Json.member "hub.replies_completed" deltas) Json.to_int)
       | None -> Alcotest.fail "no deltas object");
       (match Json.member "wall" json with
       | Some wall ->
@@ -176,28 +176,55 @@ let test_watchdog_force () =
   | None -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Metrics snapshots                                                   *)
+(* Heartbeat counter deltas                                            *)
 
-let test_metrics_snapshot_delta () =
-  let reg = Metrics.create () in
-  Metrics.incr ~by:5 (Metrics.counter reg "a");
-  Metrics.incr ~by:3 (Metrics.counter reg "b");
-  let older = Metrics.snapshot reg in
-  Alcotest.(check (list (pair string int)))
-    "snapshot counters"
-    [ ("a", 5); ("b", 3) ]
-    (Metrics.snapshot_counters older);
-  Metrics.incr ~by:2 (Metrics.counter reg "b");
-  Metrics.incr ~by:7 (Metrics.counter reg "c");
-  let newer = Metrics.snapshot reg in
-  (* Unchanged counters are omitted; new counters count from zero. *)
-  Alcotest.(check (list (pair string int)))
-    "delta"
-    [ ("b", 2); ("c", 7) ]
-    (Metrics.delta ~older ~newer);
-  Alcotest.(check (list (pair string int)))
-    "self-delta empty" []
-    (Metrics.delta ~older:newer ~newer)
+(* Each sample's deltas are the moves of the domain's [Sum] counters
+   since the previous sample: read the domain's cells next to every
+   sample and difference them by hand. *)
+let test_heartbeat_deltas () =
+  let module Cluster = Poe_harness.Cluster in
+  let module C = Cluster.Make (Poe_core.Poe_protocol) in
+  let config =
+    Poe_runtime.Config.make ~n:4 ~batch_size:5 ~clients_per_hub:10 ~n_hubs:1
+      ~seed:3 ()
+  in
+  let c =
+    C.build { (Cluster.default_params ~config) with warmup = 0.1; measure = 0.3 }
+  in
+  let hb = Heartbeat.create ~interval:0.05 () in
+  let reads = ref [ Prof.domain_counters () ] in
+  let samples = ref [] in
+  C.attach_heartbeat c hb ~on_sample:(fun s ->
+      reads := Prof.domain_counters () :: !reads;
+      samples := s :: !samples);
+  C.run c;
+  let rec pairs = function
+    | newer :: (older :: _ as rest) -> (older, newer) :: pairs rest
+    | _ -> []
+  in
+  let expected =
+    List.map
+      (fun (older, newer) ->
+        List.filteri
+          (fun i (_, d) -> d <> 0 && snd Prof.counter_defs.(i) = Prof.Sum)
+          (Array.to_list
+             (Array.mapi (fun i (n, v) -> (n, v - snd older.(i))) newer)))
+      (pairs !reads)
+  in
+  Alcotest.(check int) "one read per sample" (List.length !samples)
+    (List.length expected);
+  List.iter2
+    (fun s want ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "sample %d" s.Heartbeat.hb_seq)
+        want s.Heartbeat.hb_deltas)
+    !samples expected;
+  Alcotest.(check bool) "no Max counter" true
+    (List.for_all
+       (fun s -> not (List.mem_assoc "sim.queue_high_water" s.Heartbeat.hb_deltas))
+       !samples);
+  Alcotest.(check bool) "messages counted" true
+    (List.exists (fun s -> List.mem_assoc "net.msgs_sent" s.Heartbeat.hb_deltas) !samples)
 
 (* ------------------------------------------------------------------ *)
 (* Engine step budget                                                  *)
@@ -371,6 +398,8 @@ let () =
             test_heartbeat_roundtrip_json;
           Alcotest.test_case "retention: full stream + bounded tail" `Quick
             test_heartbeat_retention;
+          Alcotest.test_case "deltas are domain Sum counter moves" `Quick
+            test_heartbeat_deltas;
         ] );
       ( "watchdog",
         [
@@ -380,11 +409,6 @@ let () =
             test_watchdog_idle_resets;
           Alcotest.test_case "force latches out-of-band reasons" `Quick
             test_watchdog_force;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "snapshot and delta" `Quick
-            test_metrics_snapshot_delta;
         ] );
       ( "engine",
         [

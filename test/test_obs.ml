@@ -93,7 +93,6 @@ let test_disabled_emitters_are_noops () =
   Trace.phase ~ts:0.0 ~node:0 ~cat:"x" ~view:0 ~seqno:0 "p";
   Alcotest.(check (option (float 0.0))) "slot_done none" None
     (Trace.slot_done ~ts:1.0 ~node:0 ~view:0 ~seqno:0);
-  Metrics.cincr "c";
   Metrics.hobs "h" 1.0
 
 (* With no sink and no registry installed every emitter is one load and
@@ -109,7 +108,6 @@ let test_off_path_allocates_nothing () =
       Trace.instant ~ts:0.5 ~node:1 ~cat:"x" "e";
       Trace.phase ~ts:0.5 ~node:1 ~cat:"x" ~view:0 ~seqno:3 "p";
       ignore (Trace.slot_done ~ts:0.5 ~node:1 ~view:0 ~seqno:3);
-      Metrics.cincr "c";
       Metrics.hobs "h" 0.25
     done
   in
@@ -118,7 +116,7 @@ let test_off_path_allocates_nothing () =
   calls ();
   let words = (Gc.minor_words () -. before) /. float_of_int n in
   if words > 0.001 then
-    Alcotest.failf "%.4f minor words per round of five calls, floor is 0" words
+    Alcotest.failf "%.4f minor words per round of four calls, floor is 0" words
 
 let parse_ok s =
   match Json.parse s with
@@ -420,6 +418,56 @@ let test_deterministic_exports () =
   Alcotest.(check string) "metrics byte-identical across same-seed runs" m1 m2;
   Alcotest.(check bool) "different seed, different trace" true (j1 <> j3)
 
+(* [--metrics] output: every Prof counter over the run, then the
+   histogram table. *)
+let capture_stdout f =
+  let path = Filename.temp_file "instrumented" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  Format.print_flush ();
+  Unix.dup2 fd Unix.stdout;
+  Fun.protect f ~finally:(fun () ->
+      Format.print_flush ();
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved;
+      Unix.close fd);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let test_instrumented_prints_counters () =
+  let out =
+    capture_stdout (fun () ->
+        Poe_harness.Experiments.instrumented ~metrics:true (fun () ->
+            let module C = Cluster.Make (Poe_core.Poe_protocol) in
+            let c =
+              C.build
+                {
+                  (Cluster.default_params ~config:(small_config ())) with
+                  warmup = 0.1;
+                  measure = 0.2;
+                }
+            in
+            C.run c))
+  in
+  let lines = String.split_on_char '\n' out in
+  let printed name =
+    List.exists
+      (fun l ->
+        match String.split_on_char ' ' (String.trim l) with
+        | n :: _ -> String.equal n name
+        | [] -> false)
+      lines
+  in
+  Alcotest.(check bool) "counter section" true (List.mem "counters:" lines);
+  Array.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ " printed") true (printed name))
+    Poe_prof.Prof.counter_defs;
+  Alcotest.(check bool) "histograms follow" true (printed "histograms:");
+  Alcotest.(check bool) "lane histogram" true
+    (printed "lane.worker.utilization")
+
 let () =
   Alcotest.run "obs"
     [
@@ -456,5 +504,7 @@ let () =
           Alcotest.test_case "poe phase nesting" `Quick test_poe_phase_nesting;
           Alcotest.test_case "deterministic exports" `Quick
             test_deterministic_exports;
+          Alcotest.test_case "instrumented prints every counter" `Quick
+            test_instrumented_prints_counters;
         ] );
     ]

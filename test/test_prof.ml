@@ -49,25 +49,62 @@ let test_counters_identical_across_jobs () =
 
 (* The crypto counters are only driven by *materialized* crypto — cost-only
    simulation charges simulated time without computing MACs/digests — so
-   exercise them directly through the keychain. *)
+   exercise them directly through Hmac. *)
 let test_crypto_counters () =
   Prof.reset ();
   let open Poe_crypto in
-  let kc = Keychain.create ~n_replicas:4 ~n_clients:2 ~seed:"counter-test" in
-  let tag = Keychain.mac kc ~src:(Keychain.Replica 0) ~dst:(Keychain.Replica 1) "msg" in
+  let tag = Hmac.mac ~key:"counter-test" "msg" in
   Alcotest.(check bool) "mac verifies" true
-    (* The pairwise key is symmetric: the reverse direction hits the cache. *)
-    (Keychain.check_mac kc ~src:(Keychain.Replica 1) ~dst:(Keychain.Replica 0)
-       "msg" ~tag);
-  Alcotest.(check bool) "macs computed" true
-    (counter_value "hmac.macs_computed" > 0);
-  Alcotest.(check bool) "sha256 blocks" true
-    (counter_value "sha256.blocks_compressed" > 0);
-  Alcotest.(check int) "one derivation miss" 1
-    (counter_value "keychain.prepared_misses");
-  Alcotest.(check int) "one cache hit" 1
-    (counter_value "keychain.prepared_hits");
+    (Hmac.verify ~key:"counter-test" "msg" ~tag);
+  Alcotest.(check int) "one mac per tag" 2
+    (counter_value "hmac.macs_computed");
+  (* Per tag: the two padded key blocks, one inner block holding the
+     3-byte message, one outer block holding the inner digest. *)
+  Alcotest.(check int) "sha256 blocks" 8
+    (counter_value "sha256.blocks_compressed");
   Prof.reset ()
+
+(* The rare protocol events are Prof counters too. A PoE primary crash
+   forces client retransmissions, a view change and a new view while
+   checkpoints keep stabilizing; a crashed SBFT backup denies the
+   collector its all-n fast path, so slots commit via the slow path. *)
+let counters_of_run (module P : Poe_runtime.Protocol_intf.S) ~scheme ~crash =
+  let module Cluster = Poe_harness.Cluster in
+  let module C = Cluster.Make (P) in
+  let config =
+    Poe_runtime.Config.make ~n:4 ~batch_size:5 ~materialize:true
+      ~replica_scheme:scheme ~n_hubs:2 ~clients_per_hub:4
+      ~request_timeout:0.4 ~view_timeout:0.2 ~checkpoint_period:8 ()
+  in
+  Prof.reset ();
+  let c =
+    C.build { (Cluster.default_params ~config) with warmup = 0.4; measure = 2.5 }
+  in
+  crash (C.crash_replica c);
+  C.run c;
+  let cs = Array.to_list (Prof.counters ()) in
+  Prof.reset ();
+  cs
+
+let test_protocol_event_counters () =
+  let check cs name =
+    Alcotest.(check bool) (name ^ " counted") true (List.assoc name cs > 0)
+  in
+  let poe =
+    counters_of_run
+      (module Poe_core.Poe_protocol)
+      ~scheme:Poe_runtime.Config.Auth_mac
+      ~crash:(fun crash -> crash 0 ~at:0.8)
+  in
+  List.iter (check poe)
+    [ "view.changes"; "view.new_views"; "recovery.checkpoints"; "hub.retransmits" ];
+  let sbft =
+    counters_of_run
+      (module Poe_sbft.Sbft_protocol)
+      ~scheme:Poe_runtime.Config.Auth_threshold
+      ~crash:(fun crash -> crash 3 ~at:0.0)
+  in
+  check sbft "sbft.slow_paths"
 
 (* ------------------------------------------------------------------ *)
 (* Region nesting: self + children = total, exception safety           *)
@@ -242,6 +279,8 @@ let () =
           Alcotest.test_case "jobs=1 = jobs=4 and nonzero" `Slow
             test_counters_identical_across_jobs;
           Alcotest.test_case "crypto counters" `Quick test_crypto_counters;
+          Alcotest.test_case "protocol events" `Quick
+            test_protocol_event_counters;
         ] );
       ( "regions",
         [

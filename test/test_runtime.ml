@@ -107,6 +107,33 @@ let test_server_backlog () =
     (Invalid_argument "Server.submit: negative cost") (fun () ->
       Server.submit server Server.Worker ~cost:(-1.0) (fun () -> ()))
 
+(* Utilization sampled the way the lane sampler does it: busy seconds
+   accrued per simulated second. Three 1 s jobs handed to one lane at
+   t = 0 keep it exactly busy for 3 s, never more. *)
+let test_server_utilization_is_work_done () =
+  let engine = Engine.create () in
+  let server = Server.create ~engine ~worker_lanes:1 () in
+  for _ = 1 to 3 do
+    Server.submit server Server.Worker ~cost:1.0 (fun () -> ())
+  done;
+  let interval = 0.25 in
+  let prev = ref 0.0 and samples = ref [] in
+  let rec sample () =
+    let busy = Server.busy_seconds server Server.Worker in
+    samples := ((busy -. !prev) /. interval) :: !samples;
+    prev := busy;
+    if Engine.now engine < 4.0 then Engine.schedule engine ~delay:interval sample
+  in
+  Engine.schedule engine ~delay:interval sample;
+  Engine.run engine;
+  List.iter
+    (fun u ->
+      Alcotest.(check bool) (Printf.sprintf "utilization %.3f <= 1" u) true
+        (u <= 1.0 +. 1e-9))
+    !samples;
+  Alcotest.(check (float 1e-9)) "all work done" 3.0
+    (Server.busy_seconds server Server.Worker)
+
 let test_server_resources_independent () =
   let engine = Engine.create () in
   let server = Server.create ~engine () in
@@ -1028,6 +1055,8 @@ let () =
           Alcotest.test_case "single lane fifo" `Quick test_server_single_lane_fifo;
           Alcotest.test_case "parallel lanes" `Quick test_server_parallel_lanes;
           Alcotest.test_case "backlog" `Quick test_server_backlog;
+          Alcotest.test_case "utilization is work done" `Quick
+            test_server_utilization_is_work_done;
           Alcotest.test_case "resources independent" `Quick
             test_server_resources_independent;
         ] );

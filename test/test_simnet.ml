@@ -7,6 +7,7 @@ module Event_queue = Poe_simnet.Event_queue
 module Engine = Poe_simnet.Engine
 module Latency = Poe_simnet.Latency
 module Network = Poe_simnet.Network
+module Prof = Poe_prof.Prof
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -428,6 +429,7 @@ let test_network_nic_serialization () =
 
 let test_network_crash () =
   let engine, net = mk_net () in
+  let dropped0 = snd (Prof.counters ()).(Prof.ix_msgs_dropped) in
   let got = ref 0 in
   Network.set_handler net 1 (fun ~src:_ ~bytes:_ _ -> incr got);
   Network.set_handler net 2 (fun ~src:_ ~bytes:_ _ -> incr got);
@@ -437,7 +439,8 @@ let test_network_crash () =
   Network.send net ~src:0 ~dst:2 ~bytes:10 "ok";
   Engine.run engine;
   Alcotest.(check int) "only the healthy pair delivered" 1 !got;
-  Alcotest.(check int) "drops counted" 2 (Network.dropped_messages net);
+  Alcotest.(check int) "drops counted" 2
+    (snd (Prof.counters ()).(Prof.ix_msgs_dropped) - dropped0);
   Network.recover net 1;
   Network.send net ~src:0 ~dst:1 ~bytes:10 "back";
   Engine.run engine;
@@ -484,14 +487,16 @@ let test_network_loss () =
 
 let test_network_accounting () =
   let engine, net = mk_net () in
+  let c0 = Prof.counters () in
   Network.set_handler net 1 (fun ~src:_ ~bytes:_ _ -> ());
   Network.send net ~src:0 ~dst:1 ~bytes:100 "a";
   Network.send net ~src:0 ~dst:1 ~bytes:200 "b";
   Engine.run engine;
   Alcotest.(check int) "messages" 2 (Network.sent_messages net);
   Alcotest.(check int) "bytes" 300 (Network.sent_bytes net);
-  Network.reset_counters net;
-  Alcotest.(check int) "reset" 0 (Network.sent_messages net)
+  let moved ix = snd (Prof.counters ()).(ix) - snd c0.(ix) in
+  Alcotest.(check int) "prof messages" 2 (moved Prof.ix_msgs_sent);
+  Alcotest.(check int) "prof bytes" 300 (moved Prof.ix_bytes_sent)
 
 let test_deterministic_replay () =
   (* Two identically-seeded simulations produce identical delivery traces
