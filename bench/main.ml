@@ -78,7 +78,11 @@ module Prof = Poe_prof.Prof
 
 let bench_figures : Prof.bench_figure list ref = ref []
 
+(* A figure's [Max] counters (the event queue's high water) are its own:
+   they start from zero at the figure, and [Prof.delta] reads them as
+   they stand at its end. *)
 let figure name f =
+  Prof.restart_max ();
   let c0 = Prof.counters () in
   let a0 = Gc.allocated_bytes () in
   let q0 = Gc.quick_stat () in
@@ -88,9 +92,7 @@ let figure name f =
   let q1 = Gc.quick_stat () in
   let a1 = Gc.allocated_bytes () in
   let c1 = Prof.counters () in
-  let fig_counters =
-    Array.to_list (Array.map2 (fun (n, v1) (_, v0) -> (n, v1 - v0)) c1 c0)
-  in
+  let fig_counters = Array.to_list (Prof.delta ~older:c0 ~newer:c1) in
   bench_figures :=
     {
       Prof.fig_name = name;

@@ -91,18 +91,25 @@ module Make (P : R.Protocol_intf.S) = struct
           P.create_replica ctx)
     in
     (* Input threads: charge authentication and handling on the Io lanes,
-       then run the protocol handler. *)
+       then run the protocol handler. As in [Ctx.work], the job checks
+       that the replica is still alive; it is a parked call, so a
+       delivered message allocates no closure. *)
     Array.iteri
       (fun id replica ->
         let ctx = P.ctx replica in
+        let server = Ctx.server ctx in
+        let input =
+          Poe_simnet.Parked.create (fun src _ _ _ msg ->
+              if Ctx.alive ctx then P.on_message replica ~src msg)
+        in
         Network.set_handler net id (fun ~src ~bytes msg ->
             if Ctx.alive ctx then begin
               let cpu =
                 P.receive_cost ~src cfg params.cost msg
                 +. (float_of_int bytes *. params.cost.Cost.msg_per_byte)
               in
-              Ctx.work ctx Server.Io ~cost:cpu (fun () ->
-                  P.on_message replica ~src msg)
+              Server.submit server Server.Io ~cost:cpu
+                (Poe_simnet.Parked.park input src 0 0 0 msg)
             end))
       replicas;
     let workload =

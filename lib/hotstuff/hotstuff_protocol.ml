@@ -28,8 +28,8 @@ type Message.t +=
 
 type replica = {
   ctx : Ctx.t;
-  mutable exec : Exec.t;
-  mutable recovery : Recovery.t;
+  exec : Exec.t;
+  recovery : Recovery.t;
   (* Pending client requests (every replica sees every request: clients
      broadcast in rotating-leader mode). *)
   queue : Message.request Queue.t;
@@ -84,7 +84,7 @@ let tr_phase t ~round phase =
   Ctx.trace_phase t.ctx ~cat:name ~view:round ~seqno:round phase
 
 let empty_block round =
-  { Message.digest = Printf.sprintf "hs-empty-%d" round; reqs = [||] }
+  { Message.digest = Printf.sprintf "hs-empty-%d" round; reqs = [||]; acks = [] }
 
 (* Chained-HotStuff commitment. A round is final only when it sits on the
    branch below a certified three-chain of consecutive rounds: when we
@@ -420,15 +420,25 @@ let on_client_request t (req : Message.request) =
 let on_executed t ~seqno ~batch = Recovery.note_executed t.recovery ~seqno ~batch
 
 let create_replica ctx =
-  let placeholder_exec = Exec.create ~ctx () in
+  (* The components' callbacks reach the replica through [self], set as
+     soon as the record exists, so each component is built once. *)
+  let self = ref None in
+  let me () = Option.get !self in
+  let exec =
+    Exec.create ~ctx
+      ~on_executed:(fun ~seqno ~batch ~result:_ ->
+        on_executed (me ()) ~seqno ~batch)
+      ()
+  in
   let t =
     {
       ctx;
-      exec = placeholder_exec;
+      exec;
       recovery =
-        Recovery.create ~ctx ~exec:placeholder_exec
-          ~primary:(fun () -> 0)
-          ~active:(fun () -> false)
+        Recovery.create ~ctx ~exec
+          ~primary:(fun () -> let t = me () in leader_of t (t.round + 1))
+          ~active:(fun () -> true)
+          (* The pacemaker, not a view change, provides liveness. *)
           ~on_suspect:(fun () -> ())
           ();
       queue = Queue.create ();
@@ -452,17 +462,7 @@ let create_replica ctx =
       fetch_deadline = 0.0;
     }
   in
-  t.exec <-
-    Exec.create ~ctx
-      ~on_executed:(fun ~seqno ~batch ~result:_ -> on_executed t ~seqno ~batch)
-      ();
-  t.recovery <-
-    Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> leader_of t (t.round + 1))
-      ~active:(fun () -> true)
-      (* The pacemaker, not a view change, provides liveness. *)
-      ~on_suspect:(fun () -> ())
-      ();
+  self := Some t;
   t
 
 let start_replica t =

@@ -276,6 +276,18 @@ let reset () =
   Hashtbl.reset st.table;
   st.stack <- []
 
+let restart_max () =
+  let c = cells () in
+  Mutex.lock merge_mutex;
+  Array.iteri
+    (fun i (_, kind) ->
+      if kind = Max then begin
+        merged_cells.(i) <- 0;
+        c.(i) <- 0
+      end)
+    counter_defs;
+  Mutex.unlock merge_mutex
+
 let counters () =
   let combined = Array.make n_counters 0 in
   Mutex.lock merge_mutex;

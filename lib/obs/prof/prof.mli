@@ -118,6 +118,12 @@ val reset : unit -> unit
     all accumulated regions. Worker-domain cells are untouched, so only
     call this when no pool is running. *)
 
+val restart_max : unit -> unit
+(** Zero the [Max] counters of the global accumulator and of the calling
+    domain, so that {!delta} over an interval starting here reads the
+    interval's own high-water marks. Like {!reset}, only call this when
+    no pool is running. *)
+
 (** {1 Scoped regions}
 
     Regions are opt-in (a disabled [with_region] is one atomic load and
@@ -197,7 +203,9 @@ type bench_figure = {
   fig_major : int;
   fig_promoted : float;
   fig_counters : (string * int) list;
-      (** counter deltas over the figure, in [counter_defs] order *)
+      (** counters over the figure, in [counter_defs] order, as
+          {!delta} reads them: the figure's own high water for [Max]
+          counters *)
 }
 
 val wallclock_json :

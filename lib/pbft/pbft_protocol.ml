@@ -42,9 +42,9 @@ type slot = {
 
 type replica = {
   ctx : Ctx.t;
-  mutable exec : Exec.t;
-  mutable pipeline : Pipeline.t;
-  mutable recovery : Recovery.t;
+  exec : Exec.t;
+  pipeline : Pipeline.t;
+  recovery : Recovery.t;
   slots : (int, slot) Hashtbl.t;
       (* keyed by (view, seqno) packed into one int: view lsl 40 lor seqno *)
   vc : vc_payload V.t;
@@ -68,16 +68,17 @@ let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
 
 let slot_digest ~view ~seqno ~batch_digest =
-  Printf.sprintf "%d|%d|" seqno view ^ batch_digest
+  String.concat "|" [ string_of_int seqno; string_of_int view; batch_digest ]
 
 let slot_key ~view ~seqno = (view lsl 40) lor seqno
 let slot_key_view key = key lsr 40
 let slot_key_seqno key = key land ((1 lsl 40) - 1)
 
+(* [find] rather than [find_opt]: a hit, once per vote, boxes nothing. *)
 let slot_of t ~view ~seqno =
-  match Hashtbl.find_opt t.slots (slot_key ~view ~seqno) with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.slots (slot_key ~view ~seqno) with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           batch = None;
@@ -98,7 +99,7 @@ let maybe_offer t ~view ~seqno slot =
   | Some batch when slot.committed && not slot.offered ->
       slot.offered <- true;
       Exec.offer t.exec ~seqno ~view ~batch
-        ~proof:(Block.Vote_certificate (Quorum.signers slot.commits))
+        ~proof:(Ctx.vote_certificate t.ctx slot.commits)
   | Some _ | None -> ()
 
 (* Commit quorum: nf matching COMMITs (counting our own). *)
@@ -329,39 +330,40 @@ let on_executed t ~seqno ~batch =
   Recovery.note_executed t.recovery ~seqno ~batch
 
 let create_replica ctx =
-  let placeholder_exec = Exec.create ~ctx () in
+  (* The components' callbacks reach the replica through [self], set as
+     soon as the record exists, so each component is built once. *)
+  let self = ref None in
+  let me () = Option.get !self in
+  let exec =
+    Exec.create ~ctx
+      ~on_executed:(fun ~seqno ~batch ~result:_ ->
+        on_executed (me ()) ~seqno ~batch)
+      ()
+  in
   let t =
     {
       ctx;
-      exec = placeholder_exec;
-      pipeline = Pipeline.create ~ctx ~on_batch:(fun _ -> ()) ();
+      exec;
+      pipeline =
+        Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch (me ()) batch) ();
       recovery =
-        Recovery.create ~ctx ~exec:placeholder_exec
-          ~primary:(fun () -> 0)
-          ~active:(fun () -> false)
-          ~on_suspect:(fun () -> ())
+        Recovery.create ~ctx ~exec
+          ~primary:(fun () -> let t = me () in Config.primary_of_view (cfg t) t.vc.view)
+          ~active:(fun () -> not (in_view_change (me ())))
+          ~on_suspect:(fun () ->
+            let t = me () in
+            Vc.initiate_view_change t ~from_view:t.vc.view)
+          ~on_stable:(fun seqno ->
+            Hashtbl.filter_map_inplace
+              (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+              (me ()).slots)
           ();
       slots = Hashtbl.create 1024;
       vc = V.create ctx ~name;
       next_seqno = 0;
     }
   in
-  t.exec <-
-    Exec.create ~ctx
-      ~on_executed:(fun ~seqno ~batch ~result:_ -> on_executed t ~seqno ~batch)
-      ();
-  t.pipeline <-
-    Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
-  t.recovery <-
-    Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> Config.primary_of_view (cfg t) t.vc.view)
-      ~active:(fun () -> not (in_view_change t))
-      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
-      ~on_stable:(fun seqno ->
-        Hashtbl.filter_map_inplace
-          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
-          t.slots)
-      ();
+  self := Some t;
   t
 
 let start_replica t = Recovery.start t.recovery

@@ -32,9 +32,9 @@ type slot = {
 
 type replica = {
   ctx : Ctx.t;
-  mutable exec : Exec.t;        (* set in create_replica *)
-  mutable pipeline : Pipeline.t;
-  mutable recovery : Recovery.t;
+  exec : Exec.t;
+  pipeline : Pipeline.t;
+  recovery : Recovery.t;
   slots : (int, slot) Hashtbl.t;
       (* keyed by (view, seqno) packed into one int: view lsl 40 lor seqno *)
   vc : vc_payload V.t;
@@ -73,10 +73,11 @@ let slot_key_seqno key = key land ((1 lsl 40) - 1)
 let tr_phase t ~view ~seqno phase =
   Ctx.trace_phase t.ctx ~cat:name ~view ~seqno phase
 
+(* [find] rather than [find_opt]: a hit, once per vote, boxes nothing. *)
 let slot_of t ~view ~seqno =
-  match Hashtbl.find_opt t.slots (slot_key ~view ~seqno) with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.slots (slot_key ~view ~seqno) with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           batch = None;
@@ -103,8 +104,7 @@ let maybe_offer t ~view ~seqno slot =
       tr_phase t ~view ~seqno "certify";
       let proof =
         if ts_variant t then Block.Threshold_sig "certify"
-        else
-          Block.Vote_certificate (Quorum.signers slot.supports)
+        else Ctx.vote_certificate t.ctx slot.supports
       in
       Exec.offer t.exec ~seqno ~view ~batch ~proof
   | Some _ | None -> ()
@@ -443,40 +443,40 @@ let on_executed t ~seqno ~(batch : Message.batch) =
   Recovery.note_executed t.recovery ~seqno ~batch
 
 let create_replica ctx =
-  (* The record is built with throwaway components, then rewired with the
-     real ones so their callbacks can close over [t]. *)
-  let placeholder_exec = Exec.create ~ctx () in
+  (* The components' callbacks reach the replica through [self], set as
+     soon as the record exists, so each component is built once. *)
+  let self = ref None in
+  let me () = Option.get !self in
+  let exec =
+    Exec.create ~ctx
+      ~on_executed:(fun ~seqno ~batch ~result:_ ->
+        on_executed (me ()) ~seqno ~batch)
+      ()
+  in
   let t =
     {
       ctx;
-      exec = placeholder_exec;
-      pipeline = Pipeline.create ~ctx ~on_batch:(fun _ -> ()) ();
+      exec;
+      pipeline =
+        Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch (me ()) batch) ();
       recovery =
-        Recovery.create ~ctx ~exec:placeholder_exec
-          ~primary:(fun () -> 0)
-          ~active:(fun () -> false)
-          ~on_suspect:(fun () -> ())
+        Recovery.create ~ctx ~exec
+          ~primary:(fun () -> let t = me () in primary_of t t.vc.view)
+          ~active:(fun () -> not (in_view_change (me ())))
+          ~on_suspect:(fun () ->
+            let t = me () in
+            Vc.initiate_view_change t ~from_view:t.vc.view)
+          ~on_stable:(fun seqno ->
+            Hashtbl.filter_map_inplace
+              (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+              (me ()).slots)
           ();
       slots = Hashtbl.create 1024;
       vc = V.create ctx ~name;
       next_seqno = 0;
     }
   in
-  t.exec <-
-    Exec.create ~ctx
-      ~on_executed:(fun ~seqno ~batch ~result:_ -> on_executed t ~seqno ~batch)
-      ();
-  t.pipeline <- Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
-  t.recovery <-
-    Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> primary_of t t.vc.view)
-      ~active:(fun () -> not (in_view_change t))
-      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
-      ~on_stable:(fun seqno ->
-        Hashtbl.filter_map_inplace
-          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
-          t.slots)
-      ();
+  self := Some t;
   t
 
 let start_replica t = Recovery.start t.recovery

@@ -10,11 +10,6 @@ type t = {
       (* offered but not yet scheduled: seqno -> (view, batch, proof) *)
   executed : (int, record) Hashtbl.t; (* retained executed batches *)
   exec_keys : Rid_table.t; (* requests of live executed batches *)
-  acks_by_hub : (int * int) list array;
-      (* one batch's INFORM acks per client machine; all empty between
-         batches *)
-  touched : int array; (* hubs with acks, first-touched order *)
-  mutable n_touched : int;
   mutable k_exec : int;       (* last finished *)
   mutable k_sched : int;      (* last submitted to the execute lane *)
   mutable stable : int;
@@ -29,9 +24,6 @@ let create ~ctx ?on_executed ?(respond = true) () =
     ready = Hashtbl.create 256;
     executed = Hashtbl.create 1024;
     exec_keys = Rid_table.create (Replica_ctx.config ctx);
-    acks_by_hub = Array.make (Replica_ctx.config ctx).Config.n_hubs [];
-    touched = Array.make (Replica_ctx.config ctx).Config.n_hubs 0;
-    n_touched = 0;
     k_exec = -1;
     k_sched = -1;
     stable = -1;
@@ -60,40 +52,45 @@ let remember t seqno view batch result =
   Hashtbl.replace t.executed seqno { view; batch; result };
   Array.iter (Rid_table.add t.exec_keys) batch.Message.reqs
 
+(* The acks of [reqs] per client machine: [(hub, acks)] in the order the
+   batch first names each hub, every hub's acks newest first. *)
+let acks_per_hub ~n_hubs (reqs : Message.request array) =
+  let by_hub = Array.make n_hubs [] and hubs = ref [] in
+  Array.iter
+    (fun (r : Message.request) ->
+      let acks = by_hub.(r.hub) in
+      if acks == [] then hubs := r.hub :: !hubs;
+      by_hub.(r.hub) <- (r.client, r.rid) :: acks)
+    reqs;
+  List.rev_map (fun hub -> (hub, by_hub.(hub))) !hubs
+
+let rec respond t cfg ~view ~seqno ~batch_digest ~result_digest = function
+  | [] -> ()
+  | (hub, acks) :: rest ->
+      let bytes = Message.Wire.response cfg ~per_reqs:(List.length acks) in
+      Replica_ctx.send_hub t.ctx ~hub ~bytes
+        (Message.Exec_response
+           {
+             view;
+             seqno;
+             replica = Replica_ctx.id t.ctx;
+             batch_digest;
+             result_digest;
+             acks;
+           });
+      respond t cfg ~view ~seqno ~batch_digest ~result_digest rest
+
 (* Coalesce the per-request INFORMs into one wire message per client
-   machine, preserving byte volume (see DESIGN.md). The per-hub buckets
-   live in the engine, so a batch allocates only its ack lists and the
-   messages. *)
+   machine, preserving byte volume (see DESIGN.md). The ack lists are
+   built once per batch, by the first replica to answer for it, and the
+   other replicas send the same lists, so a batch costs each replica only
+   its messages. *)
 let send_responses t ~view ~seqno ~(batch : Message.batch) ~result_digest =
   let cfg = Replica_ctx.config t.ctx in
-  let reqs = batch.Message.reqs in
-  for i = 0 to Array.length reqs - 1 do
-    let r = reqs.(i) in
-    let hub = r.Message.hub in
-    let acks = t.acks_by_hub.(hub) in
-    if acks == [] then begin
-      t.touched.(t.n_touched) <- hub;
-      t.n_touched <- t.n_touched + 1
-    end;
-    t.acks_by_hub.(hub) <- (r.Message.client, r.Message.rid) :: acks
-  done;
-  for i = 0 to t.n_touched - 1 do
-    let hub = t.touched.(i) in
-    let acks = t.acks_by_hub.(hub) in
-    t.acks_by_hub.(hub) <- [];
-    let bytes = Message.Wire.response cfg ~per_reqs:(List.length acks) in
-    Replica_ctx.send_hub t.ctx ~hub ~bytes
-      (Message.Exec_response
-         {
-           view;
-           seqno;
-           replica = Replica_ctx.id t.ctx;
-           batch_digest = batch.Message.digest;
-           result_digest;
-           acks;
-         })
-  done;
-  t.n_touched <- 0
+  if batch.acks == [] then
+    batch.acks <- acks_per_hub ~n_hubs:cfg.Config.n_hubs batch.reqs;
+  respond t cfg ~view ~seqno ~batch_digest:batch.digest ~result_digest
+    batch.acks
 
 let finish t ~view ~seqno ~batch ~proof =
   let result_digest = Replica_ctx.execute_batch t.ctx ~view ~seqno batch ~proof in

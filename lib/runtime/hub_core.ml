@@ -296,25 +296,43 @@ let start t =
   done;
   Engine.schedule t.engine ~delay:(sweep_interval t) (fun () -> timeout_sweep t)
 
-let handle_response t ~view ~seqno ~replica ~result_digest acks =
-  if view > t.believed_view then t.believed_view <- view;
-  (* One witness per message, shared by every request it acks. *)
-  let witness = (view, seqno, result_digest) in
-  List.iter
-    (fun (client, rid) ->
+(* Stands for a response not built yet. *)
+let no_response = (-1, (-1, -1, ""))
+
+(* One [(replica, witness)] response per message, shared by every request
+   it acks, and built only once an ack counts: most responses arrive
+   after their requests completed. A loop rather than [List.iter], whose
+   closure would be allocated per message. *)
+let rec count_acks t ~view ~seqno ~replica ~result_digest response = function
+  | [] -> ()
+  | (client, rid) :: acks ->
       (* An ack for an unknown client or a request no longer outstanding
          (already completed, or a stale rid) is ignored. *)
-      if client >= 0 && client < Array.length t.slots then begin
-        let rs = t.slots.(client) in
-        if rs != idle && rs.req.Message.rid = rid
-           && not (List.mem_assoc replica rs.responses)
-        then begin
-          rs.responses <- (replica, witness) :: rs.responses;
-          if count_matching rs ~seqno ~digest:result_digest >= t.hooks.quorum
-          then complete t rs
+      let response =
+        if client >= 0 && client < Array.length t.slots then begin
+          let rs = t.slots.(client) in
+          if rs != idle && rs.req.Message.rid = rid
+             && not (List.mem_assoc replica rs.responses)
+          then begin
+            let response =
+              if response == no_response then
+                (replica, (view, seqno, result_digest))
+              else response
+            in
+            rs.responses <- response :: rs.responses;
+            if count_matching rs ~seqno ~digest:result_digest >= t.hooks.quorum
+            then complete t rs;
+            response
+          end
+          else response
         end
-      end)
-    acks
+        else response
+      in
+      count_acks t ~view ~seqno ~replica ~result_digest response acks
+
+let handle_response t ~view ~seqno ~replica ~result_digest acks =
+  if view > t.believed_view then t.believed_view <- view;
+  count_acks t ~view ~seqno ~replica ~result_digest no_response acks
 
 let on_network_message t ~src msg =
   let consumed =

@@ -9,7 +9,11 @@ type request = {
   submitted : float;
 }
 
-type batch = { digest : string; reqs : request array }
+type batch = {
+  digest : string;
+  reqs : request array;
+  mutable acks : (int * (int * int) list) list;
+}
 
 type exec_entry = { e_seqno : int; e_view : int; e_batch : batch }
 
@@ -72,7 +76,7 @@ let batch_of_requests ~materialize reqs =
             [ "b:"; string_of_int r.hub; "."; string_of_int r.client; ".";
               string_of_int r.rid; "+"; string_of_int n ]
   in
-  { digest; reqs }
+  { digest; reqs; acks = [] }
 
 module Wire = struct
   let header = 250

@@ -19,6 +19,12 @@ type request = {
 type batch = {
   digest : string;  (** SHA-256 of the batch in materialized runs *)
   reqs : request array;
+  mutable acks : (int * (int * int) list) list;
+      (** the INFORM acks of [reqs] grouped per client machine, as
+          {!Exec_response} carries them: [(hub, acks)] in the order the
+          batch first names each hub. Built by the first replica that
+          answers for the batch and shared by every other one, since the
+          lists are immutable; [[]] until then. *)
 }
 
 type exec_entry = {

@@ -94,7 +94,17 @@ type t = {
       (* executed above the stable checkpoint, for rollback *)
   mutable dup_execs : int;
   mutable dedup_skips : int;
+  outbox : Message.t Poe_simnet.Parked.t;
+      (* sends waiting for an output thread: one allocates no closure *)
 }
+
+let raw_send t ~dst ~bytes msg =
+  Network.send t.net ~src:t.id ~dst ~bytes msg
+
+(* A [Silent] replica is byzantine-mute: it keeps receiving and executing
+   but suppresses every outbound message (votes, checkpoints, responses),
+   unlike a fail-stop kill it can later flip back to [Honest]. *)
+let sending t = t.alive && t.behavior <> Silent
 
 let create ~id ~config ~cost ~engine ~net ~server ~stats ~rng ?threshold () =
   let store, undo, chain =
@@ -106,29 +116,40 @@ let create ~id ~config ~cost ~engine ~net ~server ~stats ~rng ?threshold () =
     end
     else (None, None, None)
   in
-  {
-    id;
-    config;
-    cost;
-    engine;
-    net;
-    server;
-    stats;
-    rng;
-    store;
-    undo;
-    chain;
-    threshold;
-    executed = Exec_log.create ();
-    alive = true;
-    behavior = Honest;
-    stable = -1;
-    snapshot_gen = 0;
-    exec_counts = Rid_table.create config;
-    reqs_by_seqno = Hashtbl.create 1024;
-    dup_execs = 0;
-    dedup_skips = 0;
-  }
+  (* The output jobs reach the context through [self], set as soon as the
+     record exists. *)
+  let self = ref None in
+  let t =
+    {
+      id;
+      config;
+      cost;
+      engine;
+      net;
+      server;
+      stats;
+      rng;
+      store;
+      undo;
+      chain;
+      threshold;
+      executed = Exec_log.create ();
+      alive = true;
+      behavior = Honest;
+      stable = -1;
+      snapshot_gen = 0;
+      exec_counts = Rid_table.create config;
+      reqs_by_seqno = Hashtbl.create 1024;
+      dup_execs = 0;
+      dedup_skips = 0;
+      outbox =
+        Poe_simnet.Parked.create (fun dst bytes _ _ msg ->
+            let t = Option.get !self in
+            if sending t then raw_send t ~dst ~bytes msg);
+    }
+  in
+  self := Some t;
+  t
 
 let id t = t.id
 let config t = t.config
@@ -166,41 +187,41 @@ let out_cost t ~bytes ~fanout =
   float_of_int fanout
   *. (t.cost.Cost.msg_out +. (float_of_int bytes *. t.cost.Cost.msg_per_byte))
 
-let raw_send t ~dst ~bytes msg =
-  Network.send t.net ~src:t.id ~dst ~bytes msg
-
-(* A [Silent] replica is byzantine-mute: it keeps receiving and executing
-   but suppresses every outbound message (votes, checkpoints, responses),
-   unlike a fail-stop kill it can later flip back to [Honest]. *)
-let sending t = t.alive && t.behavior <> Silent
-
 let send_replica t ~dst ~bytes msg =
   if sending t then
     Server.submit t.server Server.Io ~cost:(out_cost t ~bytes ~fanout:1)
-      (fun () -> if sending t then raw_send t ~dst ~bytes msg)
+      (Poe_simnet.Parked.park t.outbox dst bytes 0 0 msg)
 
 let send_hub t ~hub ~bytes msg =
-  if sending t then
-    Server.submit t.server Server.Io ~cost:(out_cost t ~bytes ~fanout:1)
-      (fun () ->
-        if sending t then raw_send t ~dst:(t.config.Config.n + hub) ~bytes msg)
+  send_replica t ~dst:(t.config.Config.n + hub) ~bytes msg
+
+let rec send_each t ~bytes msg = function
+  | [] -> ()
+  | dst :: dsts ->
+      raw_send t ~dst ~bytes msg;
+      send_each t ~bytes msg dsts
 
 let broadcast_to t ~dsts ~bytes msg =
   if sending t then begin
     let fanout = List.length dsts in
     if fanout > 0 then
       Server.submit t.server Server.Io ~cost:(out_cost t ~bytes ~fanout)
-        (fun () ->
-          if sending t then
-            List.iter (fun dst -> raw_send t ~dst ~bytes msg) dsts)
+        (fun () -> if sending t then send_each t ~bytes msg dsts)
   end
 
+(* The replicas in id order, skipping this one unless [include_self]: one
+   job and no destination list, so the words a broadcast allocates do not
+   grow with n. *)
 let broadcast_replicas ?(include_self = false) t ~bytes msg =
-  let dsts =
-    List.init t.config.Config.n (fun i -> i)
-    |> List.filter (fun i -> include_self || i <> t.id)
-  in
-  broadcast_to t ~dsts ~bytes msg
+  let n = t.config.Config.n in
+  let fanout = if include_self then n else n - 1 in
+  if sending t && fanout > 0 then
+    Server.submit t.server Server.Io ~cost:(out_cost t ~bytes ~fanout)
+      (fun () ->
+        if sending t then
+          for dst = 0 to n - 1 do
+            if include_self || dst <> t.id then raw_send t ~dst ~bytes msg
+          done)
 
 let schedule t ~delay f =
   Engine.schedule t.engine ~delay (fun () -> if t.alive then f ())
@@ -330,6 +351,11 @@ let install_snapshot t ~upto ~rows ~blocks =
       | Ok () -> ()
       | Error e -> invalid_arg ("install_snapshot: bad ledger: " ^ e))
   | (Some _ | None), _ -> ()
+
+let vote_certificate t quorum =
+  match t.chain with
+  | Some _ -> Block.Vote_certificate (Quorum.signers quorum)
+  | None -> Block.No_proof
 
 let threshold t = t.threshold
 

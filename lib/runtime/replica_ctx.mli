@@ -121,6 +121,11 @@ val execute_batch :
     [Execute] lane first), since batching of the charge is protocol
     specific. *)
 
+val vote_certificate : t -> Quorum.t -> Poe_ledger.Block.proof
+(** The proof a slot decided by the votes of [quorum] hands to
+    {!execute_batch}: its signers when this replica keeps a ledger, and
+    [No_proof] otherwise, since nothing else reads a proof. *)
+
 val rollback_to : t -> seqno:int -> int
 (** Revert speculative batches with seqno strictly greater than the
     argument (undo log + ledger); returns number of batches reverted.

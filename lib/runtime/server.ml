@@ -21,10 +21,11 @@ let histograms = function
 (* Trace thread ids: 0 is the node's protocol track; lanes get 1..4. *)
 let resource_tid = function Io -> 1 | Batcher -> 2 | Worker -> 3 | Execute -> 4
 
-type pool = {
-  free_at : float array;      (* when each lane next becomes idle *)
-  mutable busy : float;       (* accumulated work *)
-}
+(* [free_at.(i)] is when lane [i] next becomes idle, and the cell after
+   the last lane accumulates the work submitted: a float array stores it
+   unboxed, where a [mutable float] field of this record would box every
+   update. *)
+type pool = { free_at : float array; lanes : int }
 
 type t = {
   engine : Engine.t;
@@ -37,7 +38,7 @@ type t = {
 
 let make_pool lanes =
   if lanes < 1 then invalid_arg "Server: lanes >= 1";
-  { free_at = Array.make lanes 0.0; busy = 0.0 }
+  { free_at = Array.make (lanes + 1) 0.0; lanes }
 
 let create ~engine ?(node = -1) ?(io_lanes = 8) ?(batcher_lanes = 2)
     ?(worker_lanes = 1) ?(execute_lanes = 1) () =
@@ -60,7 +61,7 @@ let pool t = function
 
 let earliest_free pool =
   let best = ref 0 in
-  for i = 1 to Array.length pool.free_at - 1 do
+  for i = 1 to pool.lanes - 1 do
     if pool.free_at.(i) < pool.free_at.(!best) then best := i
   done;
   !best
@@ -70,10 +71,12 @@ let submit t resource ~cost k =
   let pool = pool t resource in
   let lane = earliest_free pool in
   let now = Engine.now t.engine in
-  let start = Float.max now pool.free_at.(lane) in
+  let free_at = pool.free_at.(lane) in
+  (* [Float.max], without the call: times are never NaN or -0. *)
+  let start = if free_at > now then free_at else now in
   let finish = start +. cost in
   pool.free_at.(lane) <- finish;
-  pool.busy <- pool.busy +. cost;
+  pool.free_at.(pool.lanes) <- pool.free_at.(pool.lanes) +. cost;
   (* Hot path: both emitters are pre-guarded so a disabled run pays a
      load-and-branch and allocates nothing. Zero-cost jobs are pure
      event-ordering hops, not work; they would only add noise. *)
@@ -97,9 +100,11 @@ let submit t resource ~cost k =
 let busy_seconds t resource =
   let pool = pool t resource in
   let now = Engine.now t.engine in
-  Array.fold_left
-    (fun acc free_at -> acc -. Float.max 0.0 (free_at -. now))
-    pool.busy pool.free_at
+  let busy = ref pool.free_at.(pool.lanes) in
+  for i = 0 to pool.lanes - 1 do
+    busy := !busy -. Float.max 0.0 (pool.free_at.(i) -. now)
+  done;
+  !busy
 
 let backlog t resource =
   let pool = pool t resource in

@@ -140,6 +140,7 @@ let repropose ~name ~new_view ~kmax ~upto reproposals ~propose pipeline =
               {
                 Message.digest = Printf.sprintf "%s-null-%d" name seqno;
                 reqs = [||];
+                acks = [];
               };
           })
   |> List.iter propose;

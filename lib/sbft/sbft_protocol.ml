@@ -66,9 +66,9 @@ type slot = {
 
 type replica = {
   ctx : Ctx.t;
-  mutable exec : Exec.t;
-  mutable pipeline : Pipeline.t;
-  mutable recovery : Recovery.t;
+  exec : Exec.t;
+  pipeline : Pipeline.t;
+  recovery : Recovery.t;
   slots : (int, slot) Hashtbl.t;
       (* keyed by (view, seqno) packed into one int: view lsl 40 lor seqno *)
   coll : (int, coll_slot) Hashtbl.t;      (* collector only, same key *)
@@ -733,18 +733,58 @@ let on_client_request t (req : Message.request) =
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
 
+(* Checkpoint GC of the per-slot tables. *)
+let on_stable t seqno =
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+    t.slots;
+  Hashtbl.filter_map_inplace
+    (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
+    t.coll;
+  (* The response machinery lags one checkpoint period behind the
+     stable point: a period-boundary seqno broadcasts its
+     checkpoint votes and its execution shares at the same
+     instant, and when the nf-th vote outruns the (f+1)-th share
+     the slot would otherwise be collected before the executor
+     can aggregate and answer the clients. *)
+  let keep = seqno - (cfg t).Config.checkpoint_period in
+  Hashtbl.filter_map_inplace
+    (fun s v -> if s <= keep then None else Some v)
+    t.exec_proof_sent;
+  Hashtbl.filter_map_inplace
+    (fun s v -> if s <= keep then None else Some v)
+    t.exec_results;
+  Hashtbl.filter_map_inplace
+    (fun s v -> if s <= keep then None else Some v)
+    t.exec_shares
+
 let create_replica ctx =
-  let placeholder_exec = Exec.create ~ctx () in
+  (* The components' callbacks reach the replica through [self], set as
+     soon as the record exists, so each component is built once. *)
+  let self = ref None in
+  let me () = Option.get !self in
+  let exec =
+    (* Replicas do not answer clients directly: the executor aggregates
+       (paper §IV-A). *)
+    Exec.create ~ctx ~respond:false
+      ~on_executed:(fun ~seqno ~batch ~result ->
+        on_executed (me ()) ~seqno ~batch ~result)
+      ()
+  in
   let t =
     {
       ctx;
-      exec = placeholder_exec;
-      pipeline = Pipeline.create ~ctx ~on_batch:(fun _ -> ()) ();
+      exec;
+      pipeline =
+        Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch (me ()) batch) ();
       recovery =
-        Recovery.create ~ctx ~exec:placeholder_exec
-          ~primary:(fun () -> 0)
-          ~active:(fun () -> false)
-          ~on_suspect:(fun () -> ())
+        Recovery.create ~ctx ~exec
+          ~primary:(fun () -> let t = me () in primary_of t t.vc.view)
+          ~active:(fun () -> not (in_view_change (me ())))
+          ~on_suspect:(fun () ->
+            let t = me () in
+            Vc.initiate_view_change t ~from_view:t.vc.view)
+          ~on_stable:(fun seqno -> on_stable (me ()) seqno)
           ();
       slots = Hashtbl.create 1024;
       coll = Hashtbl.create 64;
@@ -759,44 +799,7 @@ let create_replica ctx =
       vc_phase_slot = 0;
     }
   in
-  t.exec <-
-    (* Replicas do not answer clients directly: the executor aggregates
-       (paper §IV-A). *)
-    Exec.create ~ctx ~respond:false
-      ~on_executed:(fun ~seqno ~batch ~result ->
-        on_executed t ~seqno ~batch ~result)
-      ();
-  t.pipeline <-
-    Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
-  t.recovery <-
-    Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> primary_of t t.vc.view)
-      ~active:(fun () -> not (in_view_change t))
-      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
-      ~on_stable:(fun seqno ->
-        Hashtbl.filter_map_inplace
-          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
-          t.slots;
-        Hashtbl.filter_map_inplace
-          (fun key v -> if slot_key_seqno key <= seqno then None else Some v)
-          t.coll;
-        (* The response machinery lags one checkpoint period behind the
-           stable point: a period-boundary seqno broadcasts its
-           checkpoint votes and its execution shares at the same
-           instant, and when the nf-th vote outruns the (f+1)-th share
-           the slot would otherwise be collected before the executor
-           can aggregate and answer the clients. *)
-        let keep = seqno - (Ctx.config ctx).Config.checkpoint_period in
-        Hashtbl.filter_map_inplace
-          (fun s v -> if s <= keep then None else Some v)
-          t.exec_proof_sent;
-        Hashtbl.filter_map_inplace
-          (fun s v -> if s <= keep then None else Some v)
-          t.exec_results;
-        Hashtbl.filter_map_inplace
-          (fun s v -> if s <= keep then None else Some v)
-          t.exec_shares)
-      ();
+  self := Some t;
   t
 
 let start_replica t = Recovery.start t.recovery

@@ -23,18 +23,21 @@ let now t = t.clock
 
 let rng t = t.root_rng
 
+(* The queue keeps the boxed time it is handed and returns that box as
+   the next clock, so an event allocates one float box at most: none when
+   it fires at the current instant, which reuses the clock's own box. *)
 let schedule t ~delay f =
-  let delay = if delay < 0.0 then 0.0 else delay in
-  Event_queue.push t.queue ~time:(t.clock +. delay) f
+  if delay <= 0.0 then Event_queue.push t.queue ~time:t.clock f
+  else Event_queue.push t.queue ~time:(t.clock +. delay) f
 
 let set_step_budget t budget =
   t.step_budget <- (match budget with Some k -> k | None -> -1)
 
 let budget_exhausted t = t.step_budget = 0
 
-(* Fire the earliest event, whose time the caller has just read: a float
-   returned across a module boundary is boxed, so reading it once and
-   reusing that box as the clock allocates nothing more. *)
+(* Fire the earliest event, whose time the caller has just read: the box
+   [Event_queue.min_time] returns is the one [schedule] pushed, and it
+   becomes the clock as it is. *)
 let fire t time =
   let f = Event_queue.pop_min t.queue in
   t.clock <- time;

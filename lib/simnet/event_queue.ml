@@ -9,7 +9,11 @@ module Prof = Poe_prof.Prof
 
    The slab is an [Obj.t array] created with an immediate filler, never
    with a payload: a [float] payload must not turn it into a flat float
-   array, and a slot emptied at pop must not keep its payload alive. *)
+   array, and a slot emptied at pop must not keep its payload alive.
+   Slot [s] keeps its payload at [2s] and, at [2s+1], the boxed time
+   [push] was handed: [min_time] returns that box, so reading the
+   earliest time allocates nothing (a float returned from a function is
+   boxed). A stale time box is left in place until the slot is reused. *)
 type 'a t = {
   mutable times : float array;  (* all four arrays are empty until the first push *)
   mutable seqs : int array;
@@ -39,7 +43,9 @@ let grow t =
   in
   t.times <- extend t.times 0.0;
   t.seqs <- extend t.seqs 0;
-  t.slab <- extend t.slab empty;
+  let slab = Array.make (2 * cap') empty in
+  Array.blit t.slab 0 slab 0 (2 * cap);
+  t.slab <- slab;
   (* The queue is full, so slots [0 .. cap-1] are all in use and the new
      ones are all free. *)
   t.slots <- Array.init cap' (fun i -> if i < cap then t.slots.(i) else i)
@@ -50,7 +56,8 @@ let push t ~time payload =
   t.next_seq <- seq + 1;
   let times = t.times and seqs = t.seqs and slots = t.slots in
   let slot = slots.(t.len) in
-  t.slab.(slot) <- Obj.repr payload;
+  t.slab.(2 * slot) <- Obj.repr payload;
+  t.slab.((2 * slot) + 1) <- Obj.repr time;
   (* Sift the hole up. [seq] is the largest yet, so it loses every tie. *)
   let i = ref t.len in
   let continue = ref true in
@@ -76,8 +83,8 @@ let pop_min t =
   Prof.bump Prof.ix_events_popped;
   let times = t.times and seqs = t.seqs and slots = t.slots in
   let top = slots.(0) in
-  let payload = t.slab.(top) in
-  t.slab.(top) <- empty;
+  let payload = t.slab.(2 * top) in
+  t.slab.(2 * top) <- empty;
   let len = t.len - 1 in
   t.len <- len;
   (* Sift the last entry down from the root through a hole. *)
@@ -111,15 +118,17 @@ let pop_min t =
   slots.(len) <- top;
   Obj.obj payload
 
-let min_time t = if t.len = 0 then infinity else t.times.(0)
+let min_time t =
+  if t.len = 0 then infinity
+  else (Obj.obj t.slab.((2 * t.slots.(0)) + 1) : float)
 
 let pop t =
   if t.len = 0 then None
   else
-    let time = t.times.(0) in
+    let time = min_time t in
     Some (time, pop_min t)
 
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
+let peek_time t = if t.len = 0 then None else Some (min_time t)
 
 let size t = t.len
 let is_empty t = t.len = 0
@@ -132,7 +141,7 @@ let is_empty t = t.len = 0
    one. *)
 let clear t =
   for i = 0 to t.len - 1 do
-    t.slab.(t.slots.(i)) <- empty
+    t.slab.(2 * t.slots.(i)) <- empty
   done;
   t.len <- 0;
   t.next_seq <- 0

@@ -15,27 +15,9 @@ type 'msg t = {
   mutable next_mid : int;
       (* monotone message id; ties a "send" trace event to its matching
          "deliver"/"drop" so the analysis layer can build a causal graph *)
+  wire : 'msg Parked.t;
+      (* messages in flight: a delivery event allocates no closure *)
 }
-
-let create ~engine ~n_nodes ~latency ?(bandwidth_bytes_per_s = None)
-    ?(loss_probability = 0.0) () =
-  if n_nodes <= 0 then invalid_arg "Network.create";
-  {
-    engine;
-    n_nodes;
-    latency;
-    bandwidth = bandwidth_bytes_per_s;
-    loss_probability;
-    latency_factor = 1.0;
-    rng = Rng.split (Engine.rng engine);
-    handlers = Array.make n_nodes None;
-    crashed = Array.make n_nodes false;
-    nic_free_at = Array.make n_nodes 0.0;
-    blocked = Hashtbl.create 16;
-    sent_messages = 0;
-    sent_bytes = 0;
-    next_mid = 0;
-  }
 
 let n_nodes t = t.n_nodes
 let engine t = t.engine
@@ -73,6 +55,36 @@ let deliver t ~mid ~src ~dst ~bytes msg =
             "deliver";
         handler ~src ~bytes msg
 
+let create ~engine ~n_nodes ~latency ?(bandwidth_bytes_per_s = None)
+    ?(loss_probability = 0.0) () =
+  if n_nodes <= 0 then invalid_arg "Network.create";
+  (* The delivery calls reach the network through [self], set as soon as
+     the record exists. *)
+  let self = ref None in
+  let t =
+    {
+      engine;
+      n_nodes;
+      latency;
+      bandwidth = bandwidth_bytes_per_s;
+      loss_probability;
+      latency_factor = 1.0;
+      rng = Rng.split (Engine.rng engine);
+      handlers = Array.make n_nodes None;
+      crashed = Array.make n_nodes false;
+      nic_free_at = Array.make n_nodes 0.0;
+      blocked = Hashtbl.create 16;
+      sent_messages = 0;
+      sent_bytes = 0;
+      next_mid = 0;
+      wire =
+        Parked.create (fun mid src dst bytes msg ->
+            deliver (Option.get !self) ~mid ~src ~dst ~bytes msg);
+    }
+  in
+  self := Some t;
+  t
+
 (* A lossy drop still left the sender, so it counts as sent. *)
 let count_sent t ~bytes =
   t.sent_messages <- t.sent_messages + 1;
@@ -105,8 +117,11 @@ let send t ~src ~dst ~bytes msg =
       match t.bandwidth with
       | None -> now
       | Some bw ->
-          (* The NIC serializes outgoing messages one after another. *)
-          let start = Float.max now t.nic_free_at.(src) in
+          (* The NIC serializes outgoing messages one after another.
+             [Float.max], without the call that boxes its arguments:
+             times are never NaN or -0. *)
+          let free_at = t.nic_free_at.(src) in
+          let start = if free_at > now then free_at else now in
           let finish = start +. (float_of_int bytes /. bw) in
           t.nic_free_at.(src) <- finish;
           finish
@@ -115,8 +130,8 @@ let send t ~src ~dst ~bytes msg =
       departure
       +. (Latency.sample t.latency t.rng *. t.latency_factor)
     in
-    Engine.schedule t.engine ~delay:(arrival -. now) (fun () ->
-        deliver t ~mid ~src ~dst ~bytes msg)
+    Engine.schedule t.engine ~delay:(arrival -. now)
+      (Parked.park t.wire mid src dst bytes msg)
   end
 
 let crash t id =

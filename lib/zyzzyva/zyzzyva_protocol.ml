@@ -51,9 +51,9 @@ type Message.t +=
 
 type replica = {
   ctx : Ctx.t;
-  mutable exec : Exec.t;
-  mutable pipeline : Pipeline.t;
-  mutable recovery : Recovery.t;
+  exec : Exec.t;
+  pipeline : Pipeline.t;
+  recovery : Recovery.t;
   mutable next_seqno : int;
   vc : vc_payload V.t;
   mutable cc_upto : int;  (* highest seqno we Local_commit-acked *)
@@ -407,17 +407,29 @@ let on_executed t ~seqno ~batch =
   Recovery.note_executed t.recovery ~seqno ~batch
 
 let create_replica ctx =
-  let placeholder_exec = Exec.create ~ctx () in
+  (* The components' callbacks reach the replica through [self], set as
+     soon as the record exists, so each component is built once. *)
+  let self = ref None in
+  let me () = Option.get !self in
+  let exec =
+    Exec.create ~ctx
+      ~on_executed:(fun ~seqno ~batch ~result:_ ->
+        on_executed (me ()) ~seqno ~batch)
+      ()
+  in
   let t =
     {
       ctx;
-      exec = placeholder_exec;
-      pipeline = Pipeline.create ~ctx ~on_batch:(fun _ -> ()) ();
+      exec;
+      pipeline =
+        Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch (me ()) batch) ();
       recovery =
-        Recovery.create ~ctx ~exec:placeholder_exec
-          ~primary:(fun () -> 0)
-          ~active:(fun () -> false)
-          ~on_suspect:(fun () -> ())
+        Recovery.create ~ctx ~exec
+          ~primary:(fun () -> let t = me () in primary_of t t.vc.view)
+          ~active:(fun () -> not (in_view_change (me ())))
+          ~on_suspect:(fun () ->
+            let t = me () in
+            Vc.initiate_view_change t ~from_view:t.vc.view)
           ();
       next_seqno = 0;
       vc = V.create ctx ~name;
@@ -427,18 +439,7 @@ let create_replica ctx =
       retries = Hashtbl.create 256;
     }
   in
-  t.exec <-
-    Exec.create ~ctx
-      ~on_executed:(fun ~seqno ~batch ~result:_ -> on_executed t ~seqno ~batch)
-      ();
-  t.pipeline <-
-    Pipeline.create ~ctx ~on_batch:(fun batch -> propose_batch t batch) ();
-  t.recovery <-
-    Recovery.create ~ctx ~exec:t.exec
-      ~primary:(fun () -> primary_of t t.vc.view)
-      ~active:(fun () -> not (in_view_change t))
-      ~on_suspect:(fun () -> Vc.initiate_view_change t ~from_view:t.vc.view)
-      ();
+  self := Some t;
   t
 
 let start_replica t = Recovery.start t.recovery

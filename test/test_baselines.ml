@@ -37,6 +37,36 @@ let test_pbft_normal () =
     (fun r -> Alcotest.(check int) "view 0" 0 (Pbft.view_of r))
     c.CP.replicas
 
+(* Minor words a fault-free, cost-only PBFT n = 16 run allocates per
+   delivered message, over its second half (the first grows the tables).
+   A delivery and its input job allocate only the float boxes that times
+   and costs cross module boundaries in; the limit is the value reached
+   when the message path was made allocation-light, plus 4%. *)
+let pbft_words_per_message () =
+  Poe_obs.Trace.clear ();
+  Poe_obs.Metrics.clear_current ();
+  let config =
+    Config.make ~n:16 ~replica_scheme:Config.Auth_mac ~payload:Config.Zero
+      ~clients_per_hub:20 ~seed:3 ()
+  in
+  let c =
+    CP.build { (Cluster.default_params ~config) with warmup = 0.1; measure = 0.1 }
+  in
+  CP.run c ~until:0.1;
+  let delivered () =
+    snd (Poe_prof.Prof.counters ()).(Poe_prof.Prof.ix_msgs_delivered)
+  in
+  let m0 = delivered () and w0 = Gc.minor_words () in
+  CP.run c;
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (delivered () - m0)
+
+let test_pbft_message_words () =
+  let words = pbft_words_per_message () and limit = 38.3 in
+  if words > limit then
+    Alcotest.failf "%.2f minor words per delivered message, at most %.2f"
+      words limit
+
 (* Replica 1 of a client-less n = 4 PBFT cluster (nf = 3), fed messages
    directly. It has accepted the pre-prepare of seqno 0, so its own
    PREPARE and the primary's pre-prepare are 2 of the 3 it needs, and
@@ -258,6 +288,7 @@ let () =
       ( "pbft",
         [
           Alcotest.test_case "normal case" `Quick test_pbft_normal;
+          Alcotest.test_case "words per message" `Quick test_pbft_message_words;
           Alcotest.test_case "backup crash" `Quick test_pbft_backup_crash;
           Alcotest.test_case "primary crash -> view change" `Quick
             test_pbft_primary_crash;

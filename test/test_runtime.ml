@@ -613,6 +613,67 @@ let test_exec_reply_fan_out () =
   check "none left over after rollback" (expect 1 2 [ (1, [ 3 ]); (4, [ 1 ]) ])
     (run_batch ~seqno:1 (batch 2 [ (4, 1); (1, 3) ]))
 
+(* Every replica answering for one batch sends the same ack lists: the
+   first one builds them, the others reuse them. *)
+let test_exec_acks_shared () =
+  let b =
+    Message.batch_of_requests ~materialize:false
+      (List.map
+         (fun (hub, client) ->
+           { Message.hub; client; rid = 0; op = None; submitted = 0.0 })
+         [ (2, 0); (0, 1); (2, 3) ])
+  in
+  let acks_sent () =
+    let engine, net, ctx = make_ctx_net () in
+    let cfg = Ctx.config ctx in
+    let got = ref [] in
+    for hub = 0 to cfg.Config.n_hubs - 1 do
+      Network.set_handler net (cfg.Config.n + hub) (fun ~src:_ ~bytes:_ msg ->
+          match msg with
+          | Message.Exec_response { acks; _ } -> got := (hub, acks) :: !got
+          | _ -> ())
+    done;
+    Exec.offer (Exec.create ~ctx ()) ~seqno:0 ~view:0 ~batch:b
+      ~proof:Block.No_proof;
+    Engine.run engine;
+    List.sort compare !got
+  in
+  let first = acks_sent () and second = acks_sent () in
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "acks per hub"
+    [ (0, [ (1, 0) ]); (2, [ (3, 0); (0, 0) ]) ]
+    first;
+  List.iter2
+    (fun (_, a) (_, b) -> Alcotest.(check bool) "same list" true (a == b))
+    first second
+
+(* The words one broadcast allocates do not grow with n: it submits one
+   Io job, and the job walks the replica ids. Only the call is measured;
+   the engine runs the jobs, and their sends, outside the count. *)
+let test_broadcast_words_flat () =
+  Poe_obs.Trace.clear ();
+  Poe_obs.Metrics.clear_current ();
+  let words_per_broadcast n =
+    let config = Config.make ~n () in
+    let engine, _, ctx = make_ctx_net ~config:(Some config) () in
+    let calls = 1000 in
+    let round () =
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        Ctx.broadcast_replicas ctx ~bytes:Message.Wire.vote
+          (Message.State_request { from_seqno = 0 })
+      done;
+      let words = Gc.minor_words () -. before in
+      Engine.run engine;
+      words /. float_of_int calls
+    in
+    ignore (round ());
+    round ()
+  in
+  let w4 = words_per_broadcast 4 and w32 = words_per_broadcast 32 in
+  if w32 > w4 +. 0.01 then
+    Alcotest.failf "%.2f words per broadcast at n = 32, %.2f at n = 4" w32 w4
+
 (* ------------------------------------------------------------------ *)
 (* Client hub                                                          *)
 
@@ -1099,13 +1160,19 @@ let () =
             test_exec_rolled_back_duplicate;
           Alcotest.test_case "one reply per hub, buckets emptied" `Quick
             test_exec_reply_fan_out;
+          Alcotest.test_case "replicas share a batch's acks" `Quick
+            test_exec_acks_shared;
         ] );
       ( "hub",
         Alcotest.test_case "unknown and stale acks ignored" `Quick
           test_hub_ignores_unknown_acks
         :: List.map QCheck_alcotest.to_alcotest [ hub_model_qcheck ] );
       ( "replica_ctx",
-        [ QCheck_alcotest.to_alcotest executed_log_qcheck ] );
+        [
+          Alcotest.test_case "broadcast words flat in n" `Quick
+            test_broadcast_words_flat;
+          QCheck_alcotest.to_alcotest executed_log_qcheck;
+        ] );
       ("rid_table", List.map QCheck_alcotest.to_alcotest rid_table_qcheck);
       ("quorum", [ QCheck_alcotest.to_alcotest quorum_qcheck ]);
     ]

@@ -7,6 +7,7 @@ module Event_queue = Poe_simnet.Event_queue
 module Engine = Poe_simnet.Engine
 module Latency = Poe_simnet.Latency
 module Network = Poe_simnet.Network
+module Parked = Poe_simnet.Parked
 module Prof = Poe_prof.Prof
 
 (* ------------------------------------------------------------------ *)
@@ -319,9 +320,9 @@ let test_engine_negative_delay_clamped () =
   Engine.run e;
   Alcotest.(check (float 1e-9)) "clamped to now" 1.0 !at
 
-(* Scheduling and firing an event allocates nothing but boxed floats:
-   the fire time handed to [Event_queue.push] and the one [run] reads
-   back, two words each. [tick] is a closed function, so its closure is
+(* Scheduling and firing an event allocates nothing but the boxed fire
+   time handed to [Event_queue.push], two words: the queue hands that box
+   back as the clock. [tick] is a closed function, so its closure is
    static, and it reschedules itself with a constant delay. *)
 let alloc_engine = Engine.create ()
 let ticks_left = ref 0
@@ -352,9 +353,61 @@ let test_engine_event_allocation () =
     /. float_of_int (Engine.processed_events alloc_engine - fired)
   in
   (* The slack covers the box [Gc.minor_words] returns. *)
-  if words > 4.001 then
-    Alcotest.failf "%.2f minor words per event, floor is 4 (two boxed floats)"
+  if words > 2.001 then
+    Alcotest.failf "%.2f minor words per event, floor is 2 (one boxed float)"
       words
+
+(* ------------------------------------------------------------------ *)
+(* Parked calls                                                        *)
+
+(* Every parked call runs once, with its own arguments, in event order,
+   also when a running call parks another one into the slot it has just
+   freed. *)
+let test_parked_calls () =
+  let e = Engine.create () in
+  let ran = ref [] in
+  let rec p =
+    lazy
+      (Parked.create (fun a b c d x ->
+           ran := (a, b, c, d, x) :: !ran;
+           if a < 3 then
+             Engine.schedule e ~delay:10.0
+               (Parked.park (Lazy.force p) (a + 1000) b c d (x ^ "'"))))
+  in
+  let p = Lazy.force p in
+  for i = 0 to 99 do
+    Engine.schedule e ~delay:(float_of_int (i mod 7))
+      (Parked.park p i (2 * i) (3 * i) (-i) (string_of_int i))
+  done;
+  Engine.run e;
+  let call i = (i, 2 * i, 3 * i, -i, string_of_int i) in
+  let by_time =
+    List.init 100 (fun i -> (i mod 7, i)) |> List.stable_sort compare
+    |> List.map (fun (_, i) -> call i)
+  in
+  let reparked =
+    List.map (fun i -> (i + 1000, 2 * i, 3 * i, -i, string_of_int i ^ "'")) [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "each call once, in event order" true
+    (List.rev !ran = by_time @ reparked)
+
+(* A storm of pending calls grows the slab; a light load afterwards
+   gives that memory back. *)
+let test_parked_memory_after_storm () =
+  let e = Engine.create () in
+  let p = Parked.create (fun _ _ _ _ () -> ()) in
+  for i = 1 to 20_000 do
+    Engine.schedule e ~delay:(float_of_int i *. 1e-6) (Parked.park p i 0 0 0 ())
+  done;
+  Engine.run e;
+  let storm = Obj.reachable_words (Obj.repr p) in
+  for _ = 1 to 100_000 do
+    Engine.schedule e ~delay:1e-6 (Parked.park p 0 0 0 0 ());
+    ignore (Engine.step e)
+  done;
+  let after = Obj.reachable_words (Obj.repr p) in
+  if after * 50 > storm then
+    Alcotest.failf "%d words after the storm, %d during it" after storm
 
 (* ------------------------------------------------------------------ *)
 (* Latency                                                             *)
@@ -554,6 +607,12 @@ let () =
             test_engine_negative_delay_clamped;
           Alcotest.test_case "events allocate only boxed floats" `Quick
             test_engine_event_allocation;
+        ] );
+      ( "parked",
+        [
+          Alcotest.test_case "calls run once, in order" `Quick test_parked_calls;
+          Alcotest.test_case "memory given back after a storm" `Quick
+            test_parked_memory_after_storm;
         ] );
       ("latency", [ Alcotest.test_case "models" `Quick test_latency_models ]);
       ( "network",
